@@ -180,6 +180,74 @@ class BatchPipe {
   BatchSink sink_;
 };
 
+/// Moves the tuples of `part` onto the end of `out`.
+void AppendTuples(std::vector<Tuple>* out, std::vector<Tuple>* part) {
+  if (out->empty()) {
+    *out = std::move(*part);
+  } else {
+    out->insert(out->end(), std::make_move_iterator(part->begin()),
+                std::make_move_iterator(part->end()));
+  }
+}
+
+/// Runs fn(0) .. fn(n - 1): on n threads when `threaded` and n > 1,
+/// otherwise one after another on the calling thread.
+void RunTasks(size_t n, bool threaded, const std::function<void(size_t)>& fn) {
+  if (!threaded || n < 2) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  std::vector<std::thread> threads;
+  threads.reserve(n);
+  for (size_t i = 0; i < n; ++i) threads.emplace_back(fn, i);
+  for (std::thread& t : threads) t.join();
+}
+
+/// Folds an operator's tracked peak and spill activity into the query.
+void NoteOperatorStats(const MemoryTracker& memory, const SpillManager* spill,
+                       uint64_t merge_passes, ExecStats* stats) {
+  stats->peak_retained_bytes =
+      std::max(stats->peak_retained_bytes, memory.peak_bytes());
+  if (spill != nullptr) {
+    stats->spill_runs += spill->runs_created();
+    stats->spill_bytes_written += spill->bytes_written();
+    stats->spill_merge_passes += merge_passes;
+  }
+}
+
+/// The run-file manager of one blocking operator; null unless spilling.
+Result<std::unique_ptr<SpillManager>> MaybeSpillManager(
+    const ExecOptions& options, QueryContext* ctx) {
+  if (options.spill != SpillMode::kEnabled) {
+    return std::unique_ptr<SpillManager>();
+  }
+  return SpillManager::Create(options.spill_dir, ctx);
+}
+
+/// Group-by key evaluators: node.keys over raw tuples, or the leading
+/// key columns of two-step partials.
+std::vector<ScalarEvalPtr> GroupKeyEvals(const PNode& node,
+                                         bool from_partials) {
+  if (!from_partials) return node.keys;
+  std::vector<ScalarEvalPtr> keys;
+  for (size_t i = 0; i < node.keys.size(); ++i) {
+    keys.push_back(MakeColumnEval(static_cast<int>(i)));
+  }
+  return keys;
+}
+
+const char* GroupByStageName(AggStep step) {
+  switch (step) {
+    case AggStep::kLocal:
+      return "group-by (local)";
+    case AggStep::kGlobal:
+      return "group-by (global merge)";
+    case AggStep::kComplete:
+      break;
+  }
+  return "group-by (hash)";
+}
+
 /// Encodes the grouping/join key of a tuple under `key_evals`.
 Status EncodeKey(const std::vector<ScalarEvalPtr>& key_evals,
                  const Tuple& tuple, EvalContext* ctx, std::string* encoded,
@@ -503,6 +571,118 @@ class SpillableGroupTable {
 
 }  // namespace
 
+/// What one pipeline task — a sequential scan partition, a scan
+/// morsel, or one input partition of a later pipeline — records while
+/// it runs. Tasks never share one; the coordinator folds a stage's
+/// tasks into the query's stats in task order, through MergeStage only.
+struct Executor::TaskStats {
+  Status status;
+  uint64_t bytes = 0;           // ExecStats::bytes_scanned
+  uint64_t items = 0;           // ExecStats::items_scanned
+  uint64_t skipped = 0;         // ExecStats::skipped_records
+  uint64_t batches = 0;         // ExecStats::batches_emitted
+  uint64_t morsels = 0;         // ExecStats::morsels_scanned
+  uint64_t tape_hits = 0;
+  uint64_t tape_builds = 0;
+  uint64_t columns_read = 0;
+  uint64_t blocks_pruned = 0;
+  uint64_t stats_built = 0;     // ExecStats::stats_paths_built
+  uint64_t boundary_bytes = 0;  // StageStats::pipeline_bytes
+  uint64_t max_tuple = 0;       // StageStats::max_tuple_bytes
+
+  /// Merges `tasks` in task order (the first failed task's status
+  /// wins) and the stage's tracked peak, then appends `stage`.
+  static Status MergeStage(const std::vector<TaskStats>& tasks,
+                           const MemoryTracker& memory, StageStats* stage,
+                           ExecStats* stats) {
+    for (const TaskStats& t : tasks) {
+      JPAR_RETURN_NOT_OK(t.status);
+      stats->bytes_scanned += t.bytes;
+      stats->items_scanned += t.items;
+      stats->skipped_records += t.skipped;
+      stats->batches_emitted += t.batches;
+      stats->morsels_scanned += t.morsels;
+      stats->tape_hits += t.tape_hits;
+      stats->tape_builds += t.tape_builds;
+      stats->columns_read += t.columns_read;
+      stats->blocks_pruned += t.blocks_pruned;
+      stats->stats_paths_built += t.stats_built;
+      stage->pipeline_bytes += t.boundary_bytes;
+      stage->max_tuple_bytes = std::max(stage->max_tuple_bytes, t.max_tuple);
+    }
+    NoteOperatorStats(memory, nullptr, 0, stats);
+    stats->Merge(*stage);
+    return Status::OK();
+  }
+};
+
+/// The op chain of one pipeline task: scan items or input tuples go
+/// through `ops` batch-at-a-time (BatchPipe) or tuple-at-a-time
+/// (RunChain) into `out`, with a lifecycle poll every
+/// kCheckIntervalTuples pushes — so one huge NDJSON file is checked
+/// mid-file, not only at file boundaries.
+class Executor::PipelineTask {
+ public:
+  PipelineTask(const Executor& exec, const std::vector<UnaryOpDesc>& ops,
+               bool batch_mode, MemoryTracker* memory,
+               std::vector<Tuple>* out, TaskStats* stats)
+      : exec_(exec),
+        ops_(ops),
+        stats_(stats),
+        sink_([out](Tuple t) -> Status {
+          out->push_back(std::move(t));
+          return Status::OK();
+        }) {
+    ctx_.catalog = exec.catalog_;
+    ctx_.memory = memory;
+    ctx_.charge_boundaries = !batch_mode;
+    if (batch_mode) {
+      pipe_ = std::make_unique<BatchPipe>(
+          &ops, &ctx_, exec.options_.batch_size,
+          [&exec]() { return exec.Interrupted("pipeline"); }, out,
+          &stats->batches);
+    }
+  }
+  PipelineTask(const PipelineTask&) = delete;
+  PipelineTask& operator=(const PipelineTask&) = delete;
+
+  /// One scanned item (counts toward items_scanned).
+  Status PushItem(Item item) {
+    if (++stats_->items % kCheckIntervalTuples == 0) {
+      JPAR_RETURN_NOT_OK(exec_.Interrupted("pipeline"));
+    }
+    if (pipe_ != nullptr) return pipe_->PushItem(std::move(item));
+    return RunChain(ops_, 0, Tuple{std::move(item)}, &ctx_, sink_);
+  }
+
+  /// One input tuple of a pipeline over an upstream operator.
+  Status PushTuple(Tuple t) {
+    if (++pushed_ % kCheckIntervalTuples == 0) {
+      JPAR_RETURN_NOT_OK(exec_.Interrupted("pipeline"));
+    }
+    if (pipe_ != nullptr) return pipe_->PushTuple(std::move(t));
+    return RunChain(ops_, 0, std::move(t), &ctx_, sink_);
+  }
+
+  /// Flushes the last batch and records the task's evaluation counters.
+  Status Finish() {
+    Status st = pipe_ != nullptr ? pipe_->Finish() : Status::OK();
+    stats_->bytes += ctx_.bytes_parsed;
+    stats_->boundary_bytes += ctx_.boundary_bytes;
+    stats_->max_tuple = std::max(stats_->max_tuple, ctx_.max_tuple_bytes);
+    return st;
+  }
+
+ private:
+  const Executor& exec_;
+  const std::vector<UnaryOpDesc>& ops_;
+  TaskStats* stats_;
+  TupleSink sink_;
+  EvalContext ctx_;
+  std::unique_ptr<BatchPipe> pipe_;
+  uint64_t pushed_ = 0;
+};
+
 std::string PNode::ToString(int indent) const {
   std::string out;
   switch (kind) {
@@ -586,53 +766,22 @@ Result<Executor::PartitionSet> Executor::Exec(const PNode& node,
 
 Result<Executor::PartitionSet> Executor::ExecPipeline(
     const PNode& node, ExecStats* stats) const {
-  // Resolve input partitions.
+  const bool leaf = node.input == nullptr;
+  if (leaf && node.scan.kind == ScanDesc::Kind::kDataScan) {
+    return ExecDataScanMorsels(node, stats);
+  }
+  // A pipeline runs over its input's partitions. An EMPTY-TUPLE-SOURCE
+  // emits one seed tuple on a single partition (the paper's
+  // pre-DATASCAN plans are serial until an exchange) and keeps the
+  // tuple path, with its exact boundary accounting, in every mode.
   PartitionSet input;
-  bool leaf = node.input == nullptr;
-  if (!leaf) {
+  if (leaf) {
+    input.parts.assign(1, std::vector<Tuple>(1));
+  } else {
     JPAR_ASSIGN_OR_RETURN(input, Exec(*node.input, stats));
   }
-
-  // Determine partition task count.
-  int pcount;
-  const Collection* coll = nullptr;
-  // With an index-assisted scan, only this subset of file ids is read
-  // (null = all files).
-  const std::vector<int>* file_filter = nullptr;
-  if (leaf) {
-    if (node.scan.kind == ScanDesc::Kind::kDataScan) {
-      JPAR_ASSIGN_OR_RETURN(coll, catalog_->GetCollection(node.scan.collection));
-      if (node.scan.use_index) {
-        file_filter = catalog_->LookupPathIndex(
-            node.scan.collection, node.scan.index_path,
-            node.scan.index_value);
-        // A missing index (e.g. dropped after compilation) degrades to
-        // a full scan rather than failing the query.
-      }
-      size_t scannable =
-          file_filter != nullptr ? file_filter->size() : coll->files.size();
-      pcount = options_.partitions;
-      if (pcount > static_cast<int>(scannable) && scannable > 0) {
-        // No point in more scan partitions than files.
-        pcount = static_cast<int>(scannable);
-      }
-      if (pcount < 1) pcount = 1;
-    } else {
-      // EMPTY-TUPLE-SOURCE runs on a single partition (the paper's
-      // pre-DATASCAN plans are serial until an exchange).
-      pcount = 1;
-    }
-  } else {
-    pcount = static_cast<int>(input.parts.size());
-  }
-
-  // Threaded DATASCANs are morsel-driven: files are split into
-  // newline-aligned chunks pulled by a worker pool, so parallelism no
-  // longer stops at file granularity.
-  if (leaf && node.scan.kind == ScanDesc::Kind::kDataScan &&
-      options_.use_threads) {
-    return ExecDataScanMorsels(node, *coll, file_filter, pcount, stats);
-  }
+  const size_t pcount = input.parts.size();
+  const bool batch_mode = UseBatchMode() && !leaf;
 
   // With spilling enabled the limit is a soft budget: pipelines cannot
   // spill, so they track usage without failing (DESIGN.md §10).
@@ -640,326 +789,64 @@ Result<Executor::PartitionSet> Executor::ExecPipeline(
                        options_.spill == SpillMode::kEnabled);
   StageStats stage;
   stage.name = leaf ? node.scan.ToString() : "pipeline";
-  stage.partition_ms.assign(static_cast<size_t>(pcount), 0.0);
-
+  stage.partition_ms.assign(pcount, 0.0);
   PartitionSet output;
-  output.parts.assign(static_cast<size_t>(pcount), {});
-  std::vector<Status> task_status(static_cast<size_t>(pcount));
-  std::vector<uint64_t> task_bytes(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_items(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_boundary_bytes(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_max_tuple(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_skipped(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_batches(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_tape_hits(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_tape_builds(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_columns_read(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_blocks_pruned(static_cast<size_t>(pcount), 0);
-  std::vector<uint64_t> task_stats_built(static_cast<size_t>(pcount), 0);
-  const bool lenient_scan =
-      options_.on_parse_error == ParseErrorPolicy::kSkipAndCount;
-  // Warm-storage access-path selection (DESIGN.md §14), per file below:
-  // columnar read when the projected path is cached, tape-accelerated
-  // scan when the stage-1 index is cached, cold scan otherwise. The
-  // plan's cost-model access hint can only narrow what the options
-  // allow (DESIGN.md §15).
-  const StoragePolicy storage = ApplyAccessHint(
-      ResolveStoragePolicy(options_),
-      leaf && node.scan.kind == ScanDesc::Kind::kDataScan
-          ? node.scan.access_hint
-          : AccessHint::kAny);
-  const bool stats_build = StatsBuildEnabled(options_);
-  const StatsConfig stats_cfg = ResolveStatsConfig(options_);
-  const StorageConfig storage_cfg{options_.storage_budget_bytes,
-                                  options_.storage_cache_dir};
-  const std::string scan_path_str =
-      leaf && node.scan.kind == ScanDesc::Kind::kDataScan
-          ? PathToString(node.scan.steps)
-          : std::string();
-  // EMPTY-TUPLE-SOURCE pipelines emit one seed tuple; they keep the
-  // tuple path (and its exact boundary accounting) in every mode.
-  const bool batch_mode =
-      UseBatchMode() &&
-      !(leaf && node.scan.kind == ScanDesc::Kind::kEmptyTupleSource);
-
-  auto run_task = [&](int p) {
+  output.parts.assign(pcount, {});
+  std::vector<TaskStats> tasks(pcount);
+  RunTasks(pcount, options_.use_threads, [&](size_t p) {
     auto start = Clock::now();
-    EvalContext ctx;
-    ctx.catalog = catalog_;
-    ctx.memory = &memory;
-    ctx.charge_boundaries = !batch_mode;
-    std::vector<Tuple>& out = output.parts[static_cast<size_t>(p)];
-    TupleSink sink = [&out](Tuple t) -> Status {
-      out.push_back(std::move(t));
-      return Status::OK();
-    };
-    std::unique_ptr<BatchPipe> pipe;
-    if (batch_mode) {
-      pipe = std::make_unique<BatchPipe>(
-          &node.ops, &ctx, options_.batch_size,
-          [this]() { return Interrupted("pipeline"); }, &out,
-          &task_batches[static_cast<size_t>(p)]);
+    tasks[p].status = Fault(FaultInjector::kWorkerStall);
+    if (tasks[p].status.ok()) {
+      tasks[p].status =
+          PipelinePartition(node.ops, batch_mode, std::move(input.parts[p]),
+                            &memory, &output.parts[p], &tasks[p]);
     }
-    // One huge NDJSON file is a single partition task: poll the
-    // lifecycle every kCheckIntervalTuples emitted items, not only at
-    // file boundaries.
-    uint64_t& items = task_items[static_cast<size_t>(p)];
-    auto item_check = [&]() -> Status {
-      if (++items % kCheckIntervalTuples == 0) {
-        return Interrupted("pipeline");
-      }
-      return Status::OK();
-    };
-    Status st = Fault(FaultInjector::kWorkerStall);
-    if (leaf && node.scan.kind == ScanDesc::Kind::kDataScan && st.ok()) {
-      // Files (or the index-pruned subset) are assigned to partitions
-      // round-robin.
-      size_t file_count =
-          file_filter != nullptr ? file_filter->size() : coll->files.size();
-      for (size_t i = static_cast<size_t>(p); i < file_count;
-           i += static_cast<size_t>(pcount)) {
-        st = Interrupted("pipeline scan");
-        if (!st.ok()) break;
-        st = Fault(FaultInjector::kScanIOError);
-        if (!st.ok()) break;
-        const JsonFile& file =
-            file_filter != nullptr
-                ? coll->files[static_cast<size_t>((*file_filter)[i])]
-                : coll->files[i];
-        if (file.is_binary()) {
-          // Pre-loaded internal-model document: deserialize, then
-          // navigate the path steps in memory (no JSON parsing).
-          task_bytes[static_cast<size_t>(p)] += file.binary()->size();
-          auto doc = DeserializeItem(*file.binary());
-          if (!doc.ok()) {
-            st = doc.status();
-            break;
-          }
-          st = NavigateItemPath(*doc, node.scan.steps, 0,
-                                [&](Item item) -> Status {
-                                  JPAR_RETURN_NOT_OK(item_check());
-                                  if (pipe != nullptr) {
-                                    return pipe->PushItem(std::move(item));
-                                  }
-                                  return RunChain(node.ops, 0,
-                                                  Tuple{std::move(item)},
-                                                  &ctx, sink);
-                                });
-          if (!st.ok()) break;
-          continue;
-        }
-        auto emit = [&](Item item) -> Status {
-          JPAR_RETURN_NOT_OK(item_check());
-          if (pipe != nullptr) return pipe->PushItem(std::move(item));
-          return RunChain(node.ops, 0, Tuple{std::move(item)}, &ctx, sink);
-        };
-        const bool cacheable =
-            (storage.tapes || storage.columns) && FileCacheable(file);
-        // Columnar read: the cheapest access path — no JSON bytes
-        // touched, just the shredded values for this projected path.
-        // Strict scans refuse columns recorded with skipped records,
-        // so the cold path can surface the file's parse error.
-        if (cacheable && storage.columns) {
-          std::shared_ptr<const ColumnData> col =
-              StorageManager::Instance().GetColumn(file.path(),
-                                                   scan_path_str, storage_cfg);
-          if (col != nullptr &&
-              (lenient_scan || col->skipped_records == 0)) {
-            ++task_columns_read[static_cast<size_t>(p)];
-            task_bytes[static_cast<size_t>(p)] += col->bytes;
-            if (lenient_scan) {
-              task_skipped[static_cast<size_t>(p)] += col->skipped_records;
-            }
-            // Stats tee on the columnar path too: the column replays
-            // every item the building scan emitted, so the sample is
-            // identical to a parsing scan's — except under zone
-            // pruning, which drops blocks and would bias it (skipped).
-            std::unique_ptr<PathStats> col_stats;
-            FileSignature col_sig;
-            if (stats_build && node.scan.zone_op == ZoneCompare::kNone &&
-                StatsStore::Instance().Get(file.path(), scan_path_str,
-                                           stats_cfg) == nullptr) {
-              auto fresh = StatFileSignature(file.path());
-              if (fresh.ok()) {
-                col_sig = *fresh;
-                col_stats = std::make_unique<PathStats>();
-                col_stats->file_bytes = col_sig.size;
-              }
-            }
-            auto col_emit = [&](Item item) -> Status {
-              if (col_stats != nullptr) col_stats->Observe(item);
-              return emit(std::move(item));
-            };
-            st = EmitColumn(*col, node.scan, col_emit,
-                            &task_blocks_pruned[static_cast<size_t>(p)]);
-            if (!st.ok()) break;
-            if (col_stats != nullptr) {
-              StatsStore::Instance().Put(file.path(), scan_path_str,
-                                         *col_stats, col_sig, stats_cfg);
-              ++task_stats_built[static_cast<size_t>(p)];
-            }
-            continue;
-          }
-        }
-        // Tape-accelerated scan: cached file bytes + cached stage-1
-        // index; stage 2 runs as usual. A storage failure (stat/read
-        // race) degrades to the cold path below.
-        std::shared_ptr<const std::string> text;
-        std::shared_ptr<const StructuralIndex> tape;
-        FileSignature sig;
-        bool have_sig = false;
-        if (cacheable && storage.tapes &&
-            options_.scan_mode == ScanMode::kIndexed) {
-          auto tape_result =
-              StorageManager::Instance().AcquireTape(file.path(), storage_cfg);
-          if (tape_result.ok()) {
-            text = tape_result->text;
-            tape = tape_result->index;
-            sig = tape_result->signature;
-            have_sig = true;
-            if (tape_result->hit) {
-              ++task_tape_hits[static_cast<size_t>(p)];
-            } else {
-              ++task_tape_builds[static_cast<size_t>(p)];
-            }
-          }
-        }
-        if (text == nullptr) {
-          auto text_result = file.Load();
-          if (!text_result.ok()) {
-            st = text_result.status();
-            break;
-          }
-          text = *text_result;
-        }
-        task_bytes[static_cast<size_t>(p)] += text->size();
-        // First projecting scan of a cacheable file also shreds the
-        // path into a column for later queries (tee on the emit path).
-        std::unique_ptr<ColumnBuilder> builder;
-        if (cacheable && storage.columns && have_sig) {
-          builder = std::make_unique<ColumnBuilder>();
-        }
-        // Stats tee (DESIGN.md §15): the same parsing pass samples
-        // PathStats for the planner, once per (file, path) and only
-        // while no fresh sample exists.
-        std::unique_ptr<PathStats> stats_builder;
-        FileSignature stats_sig = sig;
-        if (stats_build && FileCacheable(file)) {
-          bool have_stats_sig = have_sig;
-          if (!have_stats_sig) {
-            auto fresh = StatFileSignature(file.path());
-            if (fresh.ok()) {
-              stats_sig = *fresh;
-              have_stats_sig = true;
-            }
-          }
-          if (have_stats_sig &&
-              StatsStore::Instance().Get(file.path(), scan_path_str,
-                                         stats_cfg) == nullptr) {
-            stats_builder = std::make_unique<PathStats>();
-            stats_builder->file_bytes = stats_sig.size;
-          }
-        }
-        ProjectionStats scan_pstats;
-        uint64_t skipped_before = task_skipped[static_cast<size_t>(p)];
-        // Collection files are document streams: one document or many
-        // (NDJSON / concatenated JSON). In lenient mode malformed
-        // records are skipped and counted instead of failing the scan.
-        st = ProjectJsonStreamWithIndex(
-            *text, node.scan.steps, tape.get(), 0,
-            [&](Item item) -> Status {
-              if (builder != nullptr) builder->Add(item);
-              if (stats_builder != nullptr) stats_builder->Observe(item);
-              return emit(std::move(item));
-            },
-            stats_builder != nullptr ? &scan_pstats : nullptr,
-            lenient_scan ? &task_skipped[static_cast<size_t>(p)] : nullptr,
-            options_.scan_mode);
-        if (!st.ok()) break;
-        if (builder != nullptr) {
-          StorageManager::Instance().PutColumn(
-              file.path(), scan_path_str,
-              builder->Finish(task_skipped[static_cast<size_t>(p)] -
-                              skipped_before),
-              sig, storage_cfg);
-        }
-        if (stats_builder != nullptr) {
-          stats_builder->documents = scan_pstats.documents;
-          StatsStore::Instance().Put(file.path(), scan_path_str,
-                                     *stats_builder, stats_sig, stats_cfg);
-          ++task_stats_built[static_cast<size_t>(p)];
-        }
-      }
-    } else if (st.ok() && leaf) {
-      st = RunChain(node.ops, 0, Tuple{}, &ctx, sink);
-    } else if (st.ok()) {
-      uint64_t processed = 0;
-      for (Tuple& t : input.parts[static_cast<size_t>(p)]) {
-        if (++processed % kCheckIntervalTuples == 0) {
-          st = Interrupted("pipeline");
-          if (!st.ok()) break;
-        }
-        st = pipe != nullptr ? pipe->PushTuple(std::move(t))
-                             : RunChain(node.ops, 0, std::move(t), &ctx, sink);
-        if (!st.ok()) break;
-      }
-      input.parts[static_cast<size_t>(p)].clear();
-    }
-    if (st.ok() && pipe != nullptr) st = pipe->Finish();
-    task_status[static_cast<size_t>(p)] = st;
-    task_bytes[static_cast<size_t>(p)] += ctx.bytes_parsed;
-    task_boundary_bytes[static_cast<size_t>(p)] = ctx.boundary_bytes;
-    task_max_tuple[static_cast<size_t>(p)] = ctx.max_tuple_bytes;
-    stage.partition_ms[static_cast<size_t>(p)] = ElapsedMs(start);
-  };
-
-  if (options_.use_threads && pcount > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(pcount));
-    for (int p = 0; p < pcount; ++p) threads.emplace_back(run_task, p);
-    for (std::thread& t : threads) t.join();
-  } else {
-    for (int p = 0; p < pcount; ++p) run_task(p);
-  }
-
-  for (int p = 0; p < pcount; ++p) {
-    JPAR_RETURN_NOT_OK(task_status[static_cast<size_t>(p)]);
-    stats->bytes_scanned += task_bytes[static_cast<size_t>(p)];
-    stats->items_scanned += task_items[static_cast<size_t>(p)];
-    stats->skipped_records += task_skipped[static_cast<size_t>(p)];
-    stats->batches_emitted += task_batches[static_cast<size_t>(p)];
-    stats->tape_hits += task_tape_hits[static_cast<size_t>(p)];
-    stats->tape_builds += task_tape_builds[static_cast<size_t>(p)];
-    stats->columns_read += task_columns_read[static_cast<size_t>(p)];
-    stats->blocks_pruned += task_blocks_pruned[static_cast<size_t>(p)];
-    stats->stats_paths_built += task_stats_built[static_cast<size_t>(p)];
-    stage.pipeline_bytes += task_boundary_bytes[static_cast<size_t>(p)];
-    if (task_max_tuple[static_cast<size_t>(p)] > stage.max_tuple_bytes) {
-      stage.max_tuple_bytes = task_max_tuple[static_cast<size_t>(p)];
-    }
-  }
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
-  stats->Merge(stage);
+    stage.partition_ms[p] = ElapsedMs(start);
+  });
+  JPAR_RETURN_NOT_OK(TaskStats::MergeStage(tasks, memory, &stage, stats));
   return output;
 }
 
 Result<Executor::PartitionSet> Executor::ExecDataScanMorsels(
-    const PNode& node, const Collection& coll,
-    const std::vector<int>* file_filter, int pcount,
-    ExecStats* stats) const {
+    const PNode& node, ExecStats* stats) const {
+  const ScanDesc& scan = node.scan;
+  const Collection* coll = nullptr;
+  JPAR_ASSIGN_OR_RETURN(coll, catalog_->GetCollection(scan.collection));
+  // With an index-assisted scan, only this subset of file ids is read
+  // (null = all files). A missing index (e.g. dropped after
+  // compilation) degrades to a full scan rather than failing the query.
+  const std::vector<int>* file_filter =
+      scan.use_index ? catalog_->LookupPathIndex(scan.collection,
+                                                 scan.index_path,
+                                                 scan.index_value)
+                     : nullptr;
+  const size_t file_count =
+      file_filter != nullptr ? file_filter->size() : coll->files.size();
+  // Files (or the index-pruned subset) are assigned to partitions
+  // round-robin; there is no point in more scan partitions than files.
+  size_t pcount = static_cast<size_t>(std::max(options_.partitions, 1));
+  if (file_count > 0) pcount = std::min(pcount, file_count);
+
   const bool lenient =
       options_.on_parse_error == ParseErrorPolicy::kSkipAndCount;
+  // Warm-storage access paths this scan may use (DESIGN.md §14). The
+  // plan's cost-model access hint narrows, never widens, what the
+  // options allow (DESIGN.md §15).
+  const StoragePolicy storage =
+      ApplyAccessHint(ResolveStoragePolicy(options_), scan.access_hint);
+  const StorageConfig storage_cfg{options_.storage_budget_bytes,
+                                  options_.storage_cache_dir};
+  const std::string scan_path_str = PathToString(scan.steps);
+  const bool stats_build = StatsBuildEnabled(options_);
+  const StatsConfig stats_cfg = ResolveStatsConfig(options_);
 
-  // One unit of scan work: a byte range of a loaded file (binary files
-  // are always a single morsel). Partition assignment follows the
-  // file's round-robin slot so output ordering matches the sequential
-  // scan exactly.
+  // One unit of scan work: a byte range of a loaded file, or a whole
+  // binary or columnar-served file. A file's morsels go to its
+  // round-robin partition, so both schedules emit the same order.
   struct Morsel {
-    int partition = 0;
-    const JsonFile* binary = nullptr;          // binary-item files
-    std::shared_ptr<const std::string> text;   // null for binary files
+    size_t partition = 0;
+    const JsonFile* file = nullptr;
+    std::shared_ptr<const std::string> text;  // null unless scanned as text
     size_t begin = 0;
     size_t end = 0;
     bool split_file = false;  // file produced more than one morsel
@@ -970,399 +857,319 @@ Result<Executor::PartitionSet> Executor::ExecDataScanMorsels(
     // with `build_column` learns its column during the scan.
     std::shared_ptr<const ColumnData> column;
     std::shared_ptr<const StructuralIndex> tape;
-    const JsonFile* file = nullptr;
     FileSignature sig;
     bool build_column = false;
-    // Stats tee (DESIGN.md §15): split files still sample — per-morsel
-    // partials merge in task order after the join, unlike columns.
+    // Stats tee (DESIGN.md §15): sample PathStats once per (file, path)
+    // while no fresh sample exists. Split files still sample — per-morsel
+    // partials merge in task order, unlike columns.
     bool build_stats = false;
     FileSignature stats_sig;
   };
-  // Private per-morsel result slot; nothing is shared between workers
-  // until the post-join merge.
-  struct Slot {
-    Status status;
-    std::vector<Tuple> out;
-    uint64_t bytes = 0;
-    uint64_t items = 0;
-    uint64_t boundary_bytes = 0;
-    uint64_t max_tuple = 0;
-    uint64_t skipped = 0;
-    uint64_t batches = 0;
-    uint64_t blocks_pruned = 0;
-    bool ran = false;
-    PathStats path_stats;
-    bool built_stats = false;
-  };
 
-  // Warm-storage access-path selection runs here on the coordinator
-  // (tape acquisition and column lookup are serialized, never raced by
-  // the worker pool); workers only consume the resulting shared_ptrs.
-  // The plan's cost-model access hint narrows, never widens, what the
-  // options allow (DESIGN.md §15).
-  const StoragePolicy storage =
-      ApplyAccessHint(ResolveStoragePolicy(options_), node.scan.access_hint);
-  const StorageConfig storage_cfg{options_.storage_budget_bytes,
-                                  options_.storage_cache_dir};
-  const std::string scan_path_str = PathToString(node.scan.steps);
-  const bool stats_build = StatsBuildEnabled(options_);
-  const StatsConfig stats_cfg = ResolveStatsConfig(options_);
-  // Cost-model morsel sizing applies only while the user left
-  // morsel_bytes at its default — an explicit knob always wins.
-  size_t morsel_bytes = options_.morsel_bytes;
-  if (node.scan.morsel_bytes_hint > 0 &&
-      morsel_bytes == ExecOptions::kDefaultMorselBytes) {
-    morsel_bytes = node.scan.morsel_bytes_hint;
-  }
-
-  size_t file_count =
-      file_filter != nullptr ? file_filter->size() : coll.files.size();
-  std::vector<Morsel> tasks;
-  std::vector<size_t> file_first_task(file_count, 0);
-  std::vector<size_t> file_task_count(file_count, 0);
-  for (size_t i = 0; i < file_count; ++i) {
+  // Per-file access-path resolution, always on the coordinating thread:
+  // tape acquisition and column lookup are never raced by workers,
+  // which only consume the resulting shared_ptrs. A columnar read
+  // touches no JSON bytes; a tape-accelerated scan reuses the cached
+  // file bytes and stage-1 index; anything else is scanned cold.
+  auto resolve = [&](size_t i, Morsel* m, TaskStats* ts) -> Status {
     JPAR_RETURN_NOT_OK(Interrupted("pipeline scan"));
     JPAR_RETURN_NOT_OK(Fault(FaultInjector::kScanIOError));
     const JsonFile& file =
         file_filter != nullptr
-            ? coll.files[static_cast<size_t>((*file_filter)[i])]
-            : coll.files[i];
-    file_first_task[i] = tasks.size();
-    Morsel m;
-    m.partition = static_cast<int>(i % static_cast<size_t>(pcount));
+            ? coll->files[static_cast<size_t>((*file_filter)[i])]
+            : coll->files[i];
+    m->partition = i % pcount;
+    m->file = &file;
+    if (file.is_binary()) return Status::OK();
     const bool cacheable =
         (storage.tapes || storage.columns) && FileCacheable(file);
-    if (file.is_binary()) {
-      m.binary = &file;
-      tasks.push_back(m);
-    } else if (std::shared_ptr<const ColumnData> col =
-                   cacheable && storage.columns
-                       ? StorageManager::Instance().GetColumn(
-                             file.path(), scan_path_str, storage_cfg)
-                       : nullptr;
-               col != nullptr && (lenient || col->skipped_records == 0)) {
-      // Columnar-served file: one task, no JSON bytes, no splitting.
-      m.column = std::move(col);
-      m.file = &file;
-      // Columnar scans sample stats too (same tee as the sequential
-      // path); zone pruning drops blocks and would bias the sample, so
-      // pruned reads don't.
-      if (stats_build && node.scan.zone_op == ZoneCompare::kNone &&
-          FileCacheable(file) &&
-          StatsStore::Instance().Get(file.path(), scan_path_str,
-                                     stats_cfg) == nullptr) {
-        auto fresh = StatFileSignature(file.path());
-        if (fresh.ok()) {
-          m.stats_sig = *fresh;
-          m.build_stats = true;
-        }
+    if (cacheable && storage.columns) {
+      m->column = StorageManager::Instance().GetColumn(
+          file.path(), scan_path_str, storage_cfg);
+      // Strict scans refuse columns recorded with skipped records, so
+      // the cold path can surface the file's parse error.
+      if (m->column != nullptr && !lenient &&
+          m->column->skipped_records > 0) {
+        m->column = nullptr;
       }
-      ++stats->columns_read;
-      tasks.push_back(m);
+    }
+    bool have_sig = false;
+    if (m->column != nullptr) {
+      ++ts->columns_read;
     } else {
-      m.file = &file;
-      bool have_sig = false;
       if (cacheable && storage.tapes &&
           options_.scan_mode == ScanMode::kIndexed) {
-        auto tape_result =
+        // A storage failure (stat/read race) degrades to the cold path.
+        auto tape =
             StorageManager::Instance().AcquireTape(file.path(), storage_cfg);
-        if (tape_result.ok()) {
-          m.text = tape_result->text;
-          m.tape = tape_result->index;
-          m.sig = tape_result->signature;
+        if (tape.ok()) {
+          m->text = tape->text;
+          m->tape = tape->index;
+          m->sig = tape->signature;
           have_sig = true;
-          if (tape_result->hit) {
-            ++stats->tape_hits;
-          } else {
-            ++stats->tape_builds;
-          }
+          ++(tape->hit ? ts->tape_hits : ts->tape_builds);
         }
       }
-      if (m.text == nullptr) {
-        JPAR_ASSIGN_OR_RETURN(m.text, file.Load());
+      if (m->text == nullptr) {
+        JPAR_ASSIGN_OR_RETURN(m->text, file.Load());
       }
-      // Unsplit cacheable files learn their column during this scan;
-      // split files don't (per-morsel fragments are not a whole column).
-      m.build_column = cacheable && storage.columns && have_sig;
-      if (stats_build && FileCacheable(file)) {
-        bool have_stats_sig = have_sig;
-        m.stats_sig = m.sig;
-        if (!have_stats_sig) {
-          auto fresh = StatFileSignature(file.path());
-          if (fresh.ok()) {
-            m.stats_sig = *fresh;
-            have_stats_sig = true;
-          }
+      m->end = m->text->size();
+      m->build_column = cacheable && storage.columns && have_sig;
+    }
+    // Zone pruning drops column blocks, which would bias a sample.
+    if (stats_build && FileCacheable(file) &&
+        (m->column == nullptr || scan.zone_op == ZoneCompare::kNone) &&
+        StatsStore::Instance().Get(file.path(), scan_path_str, stats_cfg) ==
+            nullptr) {
+      m->stats_sig = m->sig;
+      if (!have_sig) {
+        auto fresh = StatFileSignature(file.path());
+        if (!fresh.ok()) return Status::OK();
+        m->stats_sig = *fresh;
+      }
+      m->build_stats = true;
+    }
+    return Status::OK();
+  };
+
+  // Scans one morsel into `task`, teeing each item into `sample` when
+  // the morsel samples stats and into a new column when it builds one.
+  auto scan_morsel = [&](const Morsel& m, PipelineTask* task, TaskStats* ts,
+                         PathStats* sample) -> Status {
+    auto emit = [&](Item item) -> Status {
+      if (m.build_stats) sample->Observe(item);
+      return task->PushItem(std::move(item));
+    };
+    if (m.file->is_binary()) {
+      // Pre-loaded internal-model document: deserialize, then navigate
+      // the path steps in memory (no JSON parsing).
+      ts->bytes += m.file->binary()->size();
+      JPAR_ASSIGN_OR_RETURN(Item doc, DeserializeItem(*m.file->binary()));
+      return NavigateItemPath(doc, scan.steps, 0, emit);
+    }
+    if (m.column != nullptr) {
+      ts->bytes += m.column->bytes;
+      if (lenient) ts->skipped += m.column->skipped_records;
+      return EmitColumn(*m.column, scan, emit, &ts->blocks_pruned);
+    }
+    std::string_view view(*m.text);
+    view = view.substr(m.begin, m.end - m.begin);
+    ts->bytes += view.size();
+    const uint64_t skipped_before = ts->skipped;
+    std::unique_ptr<ColumnBuilder> column;
+    if (m.build_column) column = std::make_unique<ColumnBuilder>();
+    ProjectionStats pstats;
+    // Collection files are document streams: one document or many
+    // (NDJSON / concatenated JSON); lenient scans skip and count
+    // malformed records. A cached tape serves this morsel at absolute
+    // offsets; without one, stage 1 is built over just this sub-view.
+    JPAR_RETURN_NOT_OK(ProjectJsonStreamWithIndex(
+        view, scan.steps, m.tape.get(), m.begin,
+        [&](Item item) -> Status {
+          if (column != nullptr) column->Add(item);
+          return emit(std::move(item));
+        },
+        m.build_stats ? &pstats : nullptr,
+        lenient ? &ts->skipped : nullptr, options_.scan_mode));
+    if (column != nullptr) {
+      StorageManager::Instance().PutColumn(
+          m.file->path(), scan_path_str,
+          column->Finish(ts->skipped - skipped_before), m.sig, storage_cfg);
+    }
+    sample->documents = pstats.documents;
+    return Status::OK();
+  };
+
+  auto put_stats = [&](const Morsel& m, PathStats* sample) {
+    sample->file_bytes = m.stats_sig.size;
+    StatsStore::Instance().Put(m.file->path(), scan_path_str, *sample,
+                               m.stats_sig, stats_cfg);
+  };
+
+  MemoryTracker memory(options_.memory_limit_bytes,
+                       options_.spill == SpillMode::kEnabled);
+  StageStats stage;
+  stage.name = scan.ToString();
+  PartitionSet output;
+  output.parts.assign(pcount, {});
+  const bool batch_mode = UseBatchMode();
+  std::vector<TaskStats> tasks;
+
+  if (!options_.use_threads) {
+    // Sequential schedule: partition p resolves each of its round-robin
+    // files just before scanning it, so one file's text and tape are
+    // held at a time. Files are never split, so strict mode needs no
+    // fallback, and morsels_scanned stays 0.
+    tasks.resize(pcount);
+    stage.partition_ms.assign(pcount, 0.0);
+    for (size_t p = 0; p < pcount; ++p) {
+      auto start = Clock::now();
+      TaskStats& ts = tasks[p];
+      PipelineTask task(*this, node.ops, batch_mode, &memory,
+                        &output.parts[p], &ts);
+      ts.status = Fault(FaultInjector::kWorkerStall);
+      for (size_t i = p; ts.status.ok() && i < file_count; i += pcount) {
+        Morsel m;
+        PathStats sample;
+        ts.status = resolve(i, &m, &ts);
+        if (ts.status.ok()) ts.status = scan_morsel(m, &task, &ts, &sample);
+        if (ts.status.ok() && m.build_stats) {
+          put_stats(m, &sample);
+          ++ts.stats_built;
         }
-        m.build_stats =
-            have_stats_sig &&
-            StatsStore::Instance().Get(file.path(), scan_path_str,
-                                       stats_cfg) == nullptr;
       }
+      if (ts.status.ok()) ts.status = task.Finish();
+      stage.partition_ms[p] = ElapsedMs(start);
+    }
+  } else {
+    // Threaded schedule: every file is resolved up front and text files
+    // are split into newline-aligned morsels that a pool of workers
+    // pulls off a shared queue, so one huge file no longer serializes
+    // the stage. Cost-model morsel sizing applies only while the user
+    // left morsel_bytes at its default — an explicit knob always wins.
+    size_t morsel_bytes = options_.morsel_bytes;
+    if (scan.morsel_bytes_hint > 0 &&
+        morsel_bytes == ExecOptions::kDefaultMorselBytes) {
+      morsel_bytes = scan.morsel_bytes_hint;
+    }
+    TaskStats resolved;
+    std::vector<Morsel> morsels;
+    // File i owns morsels [file_first[i], file_first[i + 1]).
+    std::vector<size_t> file_first(file_count + 1, 0);
+    for (size_t i = 0; i < file_count; ++i) {
+      file_first[i] = morsels.size();
+      Morsel m;
+      JPAR_RETURN_NOT_OK(resolve(i, &m, &resolved));
       // A kColumnar access hint pins a column-learnable file to a
       // single morsel so the column actually materializes this scan
       // (split morsels can't build columns); morsel boundaries never
       // change results, only scheduling, so the trade is pure
       // investment.
-      const bool invest_columnar =
-          m.build_column && node.scan.access_hint == AccessHint::kColumnar;
-      const char* base = m.text->data();
-      size_t n = m.text->size();
-      size_t begin = 0;
+      const bool splittable =
+          m.text != nullptr && morsel_bytes > 0 &&
+          !(m.build_column && scan.access_hint == AccessHint::kColumnar);
       do {
         Morsel part = m;
-        part.begin = begin;
-        size_t end = n;
-        if (!invest_columnar && morsel_bytes > 0 &&
-            begin + morsel_bytes < n) {
+        if (splittable && part.begin + morsel_bytes < m.end) {
           // Newline-aligned split: end after the first '\n' at or past
           // the size target (same raw-byte newlines the degraded scan
           // resyncs on).
-          size_t target = begin + morsel_bytes - 1;
-          const void* nl = std::memchr(base + target, '\n', n - target);
-          end = nl == nullptr
-                    ? n
-                    : static_cast<size_t>(static_cast<const char*>(nl) -
-                                          base) +
-                          1;
+          const char* base = m.text->data();
+          size_t target = part.begin + morsel_bytes - 1;
+          const void* nl = std::memchr(base + target, '\n', m.end - target);
+          part.end = nl == nullptr
+                         ? m.end
+                         : static_cast<size_t>(
+                               static_cast<const char*>(nl) - base) +
+                               1;
         }
-        part.end = end;
-        tasks.push_back(part);
-        begin = end;
-      } while (begin < n);
-    }
-    file_task_count[i] = tasks.size() - file_first_task[i];
-    if (file_task_count[i] > 1) {
-      for (size_t t = file_first_task[i]; t < tasks.size(); ++t) {
-        tasks[t].split_file = true;
-        tasks[t].build_column = false;
-      }
-    }
-  }
-
-  MemoryTracker memory(options_.memory_limit_bytes,
-                       options_.spill == SpillMode::kEnabled);
-  StageStats stage;
-  stage.name = node.scan.ToString();
-  int workers = pcount;
-  if (!tasks.empty() && workers > static_cast<int>(tasks.size())) {
-    workers = static_cast<int>(tasks.size());
-  }
-  if (workers < 1) workers = 1;
-  stage.partition_ms.assign(static_cast<size_t>(workers), 0.0);
-
-  std::vector<Slot> slots(tasks.size());
-  std::vector<Status> worker_status(static_cast<size_t>(workers));
-  std::atomic<size_t> next_task{0};
-  std::atomic<bool> abort{false};
-
-  const bool batch_mode = UseBatchMode();
-  auto run_morsel = [&](const Morsel& m, Slot* slot) {
-    slot->ran = true;
-    Status st = Interrupted("pipeline scan");
-    if (st.ok()) {
-      EvalContext ctx;
-      ctx.catalog = catalog_;
-      ctx.memory = &memory;
-      ctx.charge_boundaries = !batch_mode;
-      TupleSink sink = [slot](Tuple t) -> Status {
-        slot->out.push_back(std::move(t));
-        return Status::OK();
-      };
-      std::unique_ptr<BatchPipe> pipe;
-      if (batch_mode) {
-        pipe = std::make_unique<BatchPipe>(
-            &node.ops, &ctx, options_.batch_size,
-            [this]() { return Interrupted("pipeline"); }, &slot->out,
-            &slot->batches);
-      }
-      auto emit = [&](Item item) -> Status {
-        if (++slot->items % kCheckIntervalTuples == 0) {
-          JPAR_RETURN_NOT_OK(Interrupted("pipeline"));
-        }
-        if (pipe != nullptr) return pipe->PushItem(std::move(item));
-        return RunChain(node.ops, 0, Tuple{std::move(item)}, &ctx, sink);
-      };
-      if (m.binary != nullptr) {
-        slot->bytes += m.binary->binary()->size();
-        auto doc = DeserializeItem(*m.binary->binary());
-        st = doc.ok() ? NavigateItemPath(*doc, node.scan.steps, 0, emit)
-                      : doc.status();
-      } else if (m.column != nullptr) {
-        // Columnar read: emit the cached values; zone maps prune whole
-        // blocks against the scan's annotated SELECT predicate.
-        slot->bytes += m.column->bytes;
-        if (lenient) slot->skipped += m.column->skipped_records;
-        std::function<Status(Item)> col_emit = emit;
-        if (m.build_stats) {
-          col_emit = [&](Item item) -> Status {
-            slot->path_stats.Observe(item);
-            return emit(std::move(item));
-          };
-        }
-        st = EmitColumn(*m.column, node.scan, col_emit,
-                        &slot->blocks_pruned);
-        if (st.ok() && m.build_stats) slot->built_stats = true;
-      } else {
-        std::string_view view(*m.text);
-        view = view.substr(m.begin, m.end - m.begin);
-        slot->bytes += view.size();
-        // With a cached tape, the whole-file index serves this morsel
-        // at absolute offsets (index origin = m.begin); without one,
-        // stage 1 is built over just this sub-view as before.
-        std::unique_ptr<ColumnBuilder> builder;
-        if (m.build_column) builder = std::make_unique<ColumnBuilder>();
-        std::function<Status(Item)> scan_emit = emit;
-        if (builder != nullptr || m.build_stats) {
-          scan_emit = [&](Item item) -> Status {
-            if (builder != nullptr) builder->Add(item);
-            if (m.build_stats) slot->path_stats.Observe(item);
-            return emit(std::move(item));
-          };
-        }
-        ProjectionStats scan_pstats;
-        st = ProjectJsonStreamWithIndex(view, node.scan.steps, m.tape.get(),
-                                        m.begin, scan_emit,
-                                        m.build_stats ? &scan_pstats : nullptr,
-                                        lenient ? &slot->skipped : nullptr,
-                                        options_.scan_mode);
-        if (st.ok() && builder != nullptr) {
-          StorageManager::Instance().PutColumn(
-              m.file->path(), scan_path_str, builder->Finish(slot->skipped),
-              m.sig, storage_cfg);
-        }
-        if (st.ok() && m.build_stats) {
-          slot->path_stats.documents = scan_pstats.documents;
-          slot->built_stats = true;
+        morsels.push_back(part);
+        m.begin = part.end;
+      } while (m.begin < m.end);
+      if (morsels.size() - file_first[i] > 1) {
+        for (size_t t = file_first[i]; t < morsels.size(); ++t) {
+          morsels[t].split_file = true;
+          morsels[t].build_column = false;
         }
       }
-      if (st.ok() && pipe != nullptr) st = pipe->Finish();
-      slot->bytes += ctx.bytes_parsed;
-      slot->boundary_bytes = ctx.boundary_bytes;
-      slot->max_tuple = ctx.max_tuple_bytes;
     }
-    slot->status = st;
-  };
+    file_first[file_count] = morsels.size();
 
-  auto worker = [&](int w) {
-    auto start = Clock::now();
-    Status st = Fault(FaultInjector::kWorkerStall);
-    if (!st.ok()) {
-      worker_status[static_cast<size_t>(w)] = st;
-      abort.store(true, std::memory_order_relaxed);
-    } else {
+    // Private per-morsel result slots; nothing is shared between
+    // workers until the merge after the join.
+    struct Slot {
+      TaskStats stats;
+      std::vector<Tuple> out;
+      PathStats sample;
+    };
+    std::vector<Slot> slots(morsels.size());
+    auto run_morsel = [&](const Morsel& m, Slot* slot) {
+      slot->stats.morsels = 1;
+      slot->stats.status = Interrupted("pipeline scan");
+      if (!slot->stats.status.ok()) return;
+      PipelineTask task(*this, node.ops, batch_mode, &memory, &slot->out,
+                        &slot->stats);
+      Status st = scan_morsel(m, &task, &slot->stats, &slot->sample);
+      slot->stats.status = st.ok() ? task.Finish() : st;
+    };
+
+    const size_t workers =
+        morsels.empty() ? pcount : std::min(pcount, morsels.size());
+    stage.partition_ms.assign(workers, 0.0);
+    std::vector<Status> worker_status(workers);
+    std::atomic<size_t> next_morsel{0};
+    std::atomic<bool> abort{false};
+    RunTasks(workers, /*threaded=*/true, [&](size_t w) {
+      auto start = Clock::now();
+      worker_status[w] = Fault(FaultInjector::kWorkerStall);
+      if (!worker_status[w].ok()) abort.store(true, std::memory_order_relaxed);
       while (!abort.load(std::memory_order_relaxed)) {
-        size_t t = next_task.fetch_add(1, std::memory_order_relaxed);
-        if (t >= tasks.size()) break;
-        Slot& slot = slots[t];
-        run_morsel(tasks[t], &slot);
-        if (!slot.status.ok() &&
-            !(slot.status.code() == StatusCode::kParseError &&
-              tasks[t].split_file && !lenient)) {
+        size_t t = next_morsel.fetch_add(1, std::memory_order_relaxed);
+        if (t >= morsels.size()) break;
+        run_morsel(morsels[t], &slots[t]);
+        const Status& st = slots[t].stats.status;
+        if (!st.ok() && !(st.code() == StatusCode::kParseError &&
+                          morsels[t].split_file && !lenient)) {
           // Unrecoverable (cancel, deadline, fault, real parse error of
           // an unsplit file): stop handing out work. Split-file parse
           // errors are handled by the whole-file fallback below.
           abort.store(true, std::memory_order_relaxed);
         }
       }
-    }
-    stage.partition_ms[static_cast<size_t>(w)] = ElapsedMs(start);
-  };
+      stage.partition_ms[w] = ElapsedMs(start);
+    });
 
-  if (workers > 1) {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(workers));
-    for (int w = 0; w < workers; ++w) threads.emplace_back(worker, w);
-    for (std::thread& t : threads) t.join();
-  } else {
-    worker(0);
-  }
-
-  // Strict-mode whole-file fallback. A record spanning a morsel
-  // boundary (a document with newlines inside tokens or strings) always
-  // makes some morsel fail to parse — no JSON value can end cleanly at
-  // a mid-record newline — so rescanning the file as one task restores
-  // exact sequential semantics. Genuinely malformed files fail with the
-  // same error either way, at the cost of one wasted scan.
-  if (!lenient) {
-    for (size_t i = 0; i < file_count; ++i) {
-      if (file_task_count[i] <= 1) continue;
-      size_t first = file_first_task[i];
-      size_t end = first + file_task_count[i];
-      bool parse_failed = false;
-      for (size_t t = first; t < end; ++t) {
-        if (slots[t].ran &&
-            slots[t].status.code() == StatusCode::kParseError) {
-          parse_failed = true;
-          break;
-        }
+    // Strict-mode whole-file fallback. A record spanning a morsel
+    // boundary (a document with newlines inside tokens or strings)
+    // always makes some morsel fail to parse — no JSON value can end
+    // cleanly at a mid-record newline — so rescanning the file as one
+    // task restores exact sequential semantics. Genuinely malformed
+    // files fail with the same error either way, at the cost of one
+    // wasted scan.
+    for (size_t i = 0; i < file_count && !lenient; ++i) {
+      auto first = slots.begin() + static_cast<ptrdiff_t>(file_first[i]);
+      auto last = slots.begin() + static_cast<ptrdiff_t>(file_first[i + 1]);
+      if (last - first <= 1 ||
+          std::none_of(first, last, [](const Slot& s) {
+            return s.stats.status.code() == StatusCode::kParseError;
+          })) {
+        continue;
       }
-      if (!parse_failed) continue;
-      for (size_t t = first; t < end; ++t) slots[t] = Slot{};
-      Morsel whole = tasks[first];
+      std::fill(first, last, Slot{});
+      Morsel whole = morsels[file_first[i]];
       whole.begin = 0;
       whole.end = whole.text->size();
       whole.split_file = false;
-      run_morsel(whole, &slots[first]);
+      run_morsel(whole, &*first);
     }
+
+    for (const Status& st : worker_status) JPAR_RETURN_NOT_OK(st);
+    for (const Slot& slot : slots) JPAR_RETURN_NOT_OK(slot.stats.status);
+
+    // Install sampled stats: per-morsel partials merge in task order
+    // into one whole-file sample (the register-max sketch merge makes
+    // the result independent of which worker ran which morsel). After a
+    // strict-mode fallback only the whole-file slot carries a sample.
+    for (size_t i = 0; i < file_count; ++i) {
+      const size_t first = file_first[i];
+      if (first == file_first[i + 1] || !morsels[first].build_stats) continue;
+      PathStats merged;
+      for (size_t t = first; t < file_first[i + 1]; ++t) {
+        if (slots[t].stats.morsels > 0) merged.MergeFrom(slots[t].sample);
+      }
+      put_stats(morsels[first], &merged);
+      ++resolved.stats_built;
+    }
+
+    tasks.reserve(slots.size() + 1);
+    for (size_t t = 0; t < morsels.size(); ++t) {
+      AppendTuples(&output.parts[morsels[t].partition], &slots[t].out);
+      tasks.push_back(std::move(slots[t].stats));
+    }
+    tasks.push_back(std::move(resolved));
   }
 
-  for (int w = 0; w < workers; ++w) {
-    JPAR_RETURN_NOT_OK(worker_status[static_cast<size_t>(w)]);
-  }
-  for (const Slot& slot : slots) {
-    JPAR_RETURN_NOT_OK(slot.status);
-  }
-
-  // Install sampled stats: per-morsel partials merge in task order into
-  // one whole-file sample (the register-max sketch merge makes the
-  // result independent of which worker ran which morsel). After a
-  // strict-mode fallback only the whole-file slot carries a sample.
-  for (size_t i = 0; i < file_count; ++i) {
-    size_t first = file_first_task[i];
-    size_t endt = first + file_task_count[i];
-    if (endt <= first || !tasks[first].build_stats) continue;
-    PathStats merged;
-    bool any = false;
-    for (size_t t = first; t < endt; ++t) {
-      if (!slots[t].built_stats) continue;
-      merged.MergeFrom(slots[t].path_stats);
-      any = true;
-    }
-    if (!any) continue;
-    merged.file_bytes = tasks[first].stats_sig.size;
-    StatsStore::Instance().Put(tasks[first].file->path(), scan_path_str,
-                               merged, tasks[first].stats_sig, stats_cfg);
-    ++stats->stats_paths_built;
-  }
-
-  PartitionSet output;
-  output.parts.assign(static_cast<size_t>(pcount), {});
-  for (size_t t = 0; t < tasks.size(); ++t) {
-    Slot& slot = slots[t];
-    std::vector<Tuple>& out =
-        output.parts[static_cast<size_t>(tasks[t].partition)];
-    if (out.empty()) {
-      out = std::move(slot.out);
-    } else {
-      out.insert(out.end(), std::make_move_iterator(slot.out.begin()),
-                 std::make_move_iterator(slot.out.end()));
-    }
-    stats->bytes_scanned += slot.bytes;
-    stats->items_scanned += slot.items;
-    stats->skipped_records += slot.skipped;
-    stats->batches_emitted += slot.batches;
-    stats->blocks_pruned += slot.blocks_pruned;
-    if (slot.ran) ++stats->morsels_scanned;
-    stage.pipeline_bytes += slot.boundary_bytes;
-    if (slot.max_tuple > stage.max_tuple_bytes) {
-      stage.max_tuple_bytes = slot.max_tuple;
-    }
-  }
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
-  stats->Merge(stage);
+  JPAR_RETURN_NOT_OK(TaskStats::MergeStage(tasks, memory, &stage, stats));
   return output;
 }
 
@@ -1465,52 +1272,24 @@ Result<Executor::PartitionSet> Executor::ExecGroupBy(
 
   const bool spilling = options_.spill == SpillMode::kEnabled;
   MemoryTracker memory(options_.memory_limit_bytes, spilling);
-  std::unique_ptr<SpillManager> spill_mgr;
-  if (spilling) {
-    JPAR_ASSIGN_OR_RETURN(spill_mgr,
-                          SpillManager::Create(options_.spill_dir, ctx_));
-  }
+  JPAR_ASSIGN_OR_RETURN(std::unique_ptr<SpillManager> spill_mgr,
+                        MaybeSpillManager(options_, ctx_));
   uint64_t merge_passes = 0;
-  size_t nkeys = node.keys.size();
-
-  bool can_two_step = GroupByUsesTwoStep(node);
+  const bool two_step = GroupByUsesTwoStep(node);
 
   // ---- Optional local pre-aggregation stage -------------------------
-  if (can_two_step) {
+  if (two_step) {
     StageStats local_stage;
-    local_stage.name = "group-by (local)";
+    local_stage.name = GroupByStageName(AggStep::kLocal);
     local_stage.partition_ms.assign(input.parts.size(), 0.0);
     PartitionSet partials;
     partials.parts.assign(input.parts.size(), {});
     for (size_t p = 0; p < input.parts.size(); ++p) {
       auto start = Clock::now();
-      EvalContext ctx;
-      ctx.catalog = catalog_;
-      ctx.memory = &memory;
-      // Pre-spilling semantics kept exactly when disabled: the local
-      // stage never tracked aggregate growth (incremental partials are
-      // O(1)); with spilling on, growth counts against the budget too.
-      SpillableGroupTable table(node.aggs, AggStep::kLocal, &memory,
-                                /*track_growth=*/spilling, ctx_,
-                                spill_mgr.get(), EffectiveSpillFanout(node),
-                                memory.ShareOf(input.parts.size()),
-                                &merge_passes);
-      std::string encoded;
-      Tuple key_items;
-      uint64_t processed = 0;
-      for (const Tuple& tuple : input.parts[p]) {
-        if (++processed % kCheckIntervalTuples == 0) {
-          JPAR_RETURN_NOT_OK(Interrupted("group-by build"));
-        }
-        JPAR_RETURN_NOT_OK(
-            EncodeKey(node.keys, tuple, &ctx, &encoded, &key_items));
-        JPAR_RETURN_NOT_OK(
-            table.Add(encoded, key_items, [&](size_t i) -> Result<Item> {
-              return node.aggs[i].arg->Eval(tuple, &ctx);
-            }));
-      }
-      input.parts[p].clear();
-      JPAR_RETURN_NOT_OK(table.Emit(&partials.parts[p]));
+      JPAR_RETURN_NOT_OK(GroupByPartition(
+          node, AggStep::kLocal, input.parts[p], &input.parts[p], &memory,
+          spill_mgr.get(), memory.ShareOf(input.parts.size()), &merge_passes,
+          &partials.parts[p]));
       memory.Release(memory.current_bytes());
       local_stage.partition_ms[p] = ElapsedMs(start);
     }
@@ -1518,59 +1297,23 @@ Result<Executor::PartitionSet> Executor::ExecGroupBy(
     input = std::move(partials);
   }
 
-  // ---- Exchange by key ----------------------------------------------
+  // ---- Exchange by key, then global aggregation ---------------------
+  const AggStep step = two_step ? AggStep::kGlobal : AggStep::kComplete;
   StageStats global_stage;
-  global_stage.name =
-      can_two_step ? "group-by (global merge)" : "group-by (hash)";
-  // After local pre-aggregation the key occupies columns [0, nkeys).
-  std::vector<ScalarEvalPtr> exchange_keys;
-  if (can_two_step) {
-    for (size_t i = 0; i < nkeys; ++i) {
-      exchange_keys.push_back(MakeColumnEval(static_cast<int>(i)));
-    }
-  } else {
-    exchange_keys = node.keys;
-  }
-  JPAR_ASSIGN_OR_RETURN(
-      PartitionSet exchanged,
-      Exchange(input, exchange_keys, &global_stage, stats));
+  global_stage.name = GroupByStageName(step);
+  JPAR_ASSIGN_OR_RETURN(PartitionSet exchanged,
+                        Exchange(input, GroupKeyEvals(node, two_step),
+                                 &global_stage, stats));
   input.parts.clear();
-
-  // ---- Global aggregation --------------------------------------------
   global_stage.partition_ms.assign(exchanged.parts.size(), 0.0);
   PartitionSet output;
   output.parts.assign(exchanged.parts.size(), {});
   for (size_t p = 0; p < exchanged.parts.size(); ++p) {
     auto start = Clock::now();
-    EvalContext ctx;
-    ctx.catalog = catalog_;
-    ctx.memory = &memory;
-    AggStep step = can_two_step ? AggStep::kGlobal : AggStep::kComplete;
-    SpillableGroupTable table(node.aggs, step, &memory,
-                              /*track_growth=*/true, ctx_, spill_mgr.get(),
-                              EffectiveSpillFanout(node),
-                              memory.ShareOf(exchanged.parts.size()),
-                              &merge_passes);
-    std::string encoded;
-    Tuple key_items;
-    uint64_t processed = 0;
-    for (const Tuple& tuple : exchanged.parts[p]) {
-      if (++processed % kCheckIntervalTuples == 0) {
-        JPAR_RETURN_NOT_OK(Interrupted("group-by build"));
-      }
-      JPAR_RETURN_NOT_OK(
-          EncodeKey(exchange_keys, tuple, &ctx, &encoded, &key_items));
-      JPAR_RETURN_NOT_OK(
-          table.Add(encoded, key_items, [&](size_t i) -> Result<Item> {
-            if (can_two_step) {
-              // Partial for agg i sits right after the key columns.
-              return tuple[nkeys + i];
-            }
-            return node.aggs[i].arg->Eval(tuple, &ctx);
-          }));
-    }
-    exchanged.parts[p].clear();
-    JPAR_RETURN_NOT_OK(table.Emit(&output.parts[p]));
+    JPAR_RETURN_NOT_OK(GroupByPartition(
+        node, step, exchanged.parts[p], &exchanged.parts[p], &memory,
+        spill_mgr.get(), memory.ShareOf(exchanged.parts.size()),
+        &merge_passes, &output.parts[p]));
     // The hard-limit mode deliberately never releases between global
     // partitions (it emulates all partitions resident at once, which is
     // what Table 3 measures); the budgeted mode governs each partition
@@ -1578,23 +1321,58 @@ Result<Executor::PartitionSet> Executor::ExecGroupBy(
     if (spilling) memory.Release(memory.current_bytes());
     global_stage.partition_ms[p] = ElapsedMs(start);
   }
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
-  if (spill_mgr != nullptr) {
-    stats->spill_runs += spill_mgr->runs_created();
-    stats->spill_bytes_written += spill_mgr->bytes_written();
-    stats->spill_merge_passes += merge_passes;
-  }
+  NoteOperatorStats(memory, spill_mgr.get(), merge_passes, stats);
   stats->Merge(global_stage);
   return output;
+}
+
+Status Executor::GroupByPartition(const PNode& node, AggStep step,
+                                  const std::vector<Tuple>& input,
+                                  std::vector<Tuple>* consumed,
+                                  MemoryTracker* memory, SpillManager* spill,
+                                  uint64_t budget, uint64_t* merge_passes,
+                                  std::vector<Tuple>* out) const {
+  const bool from_partials = step == AggStep::kGlobal;
+  const std::vector<ScalarEvalPtr> keys = GroupKeyEvals(node, from_partials);
+  const size_t nkeys = node.keys.size();
+  EvalContext ctx;
+  ctx.catalog = catalog_;
+  ctx.memory = memory;
+  // Pre-spilling semantics kept exactly when disabled: the local step
+  // never tracked aggregate growth (incremental partials are O(1)); with
+  // spilling on, growth counts against the budget too.
+  SpillableGroupTable table(node.aggs, step, memory,
+                            /*track_growth=*/step != AggStep::kLocal ||
+                                spill != nullptr,
+                            ctx_, spill, EffectiveSpillFanout(node), budget,
+                            merge_passes);
+  std::string encoded;
+  Tuple key_items;
+  uint64_t processed = 0;
+  for (const Tuple& tuple : input) {
+    if (++processed % kCheckIntervalTuples == 0) {
+      JPAR_RETURN_NOT_OK(Interrupted("group-by build"));
+    }
+    JPAR_RETURN_NOT_OK(EncodeKey(keys, tuple, &ctx, &encoded, &key_items));
+    JPAR_RETURN_NOT_OK(
+        table.Add(encoded, key_items, [&](size_t i) -> Result<Item> {
+          // A two-step partial for agg i sits right after the keys.
+          if (from_partials) return tuple[nkeys + i];
+          return node.aggs[i].arg->Eval(tuple, &ctx);
+        }));
+  }
+  if (consumed != nullptr) consumed->clear();
+  return table.Emit(out);
 }
 
 Status Executor::JoinOnePartition(const PNode& node,
                                   const std::vector<Tuple>& left,
                                   const std::vector<Tuple>& right,
-                                  EvalContext* ctx, MemoryTracker* memory,
+                                  MemoryTracker* memory,
                                   std::vector<Tuple>* out) const {
+  EvalContext ctx;
+  ctx.catalog = catalog_;
+  ctx.memory = memory;
   std::unordered_map<std::string, std::vector<size_t>> table;
   std::string encoded;
   // Cost-model flip (DESIGN.md §15): hash the estimated-smaller side.
@@ -1609,7 +1387,7 @@ Status Executor::JoinOnePartition(const PNode& node,
     if ((i + 1) % kCheckIntervalTuples == 0) {
       JPAR_RETURN_NOT_OK(Interrupted("join build"));
     }
-    JPAR_RETURN_NOT_OK(EncodeKey(build_keys, build[i], ctx, &encoded,
+    JPAR_RETURN_NOT_OK(EncodeKey(build_keys, build[i], &ctx, &encoded,
                                  nullptr));
     table[encoded].push_back(i);
     JPAR_RETURN_NOT_OK(Fault(FaultInjector::kAllocFail));
@@ -1620,7 +1398,7 @@ Status Executor::JoinOnePartition(const PNode& node,
     Tuple joined = l;
     joined.insert(joined.end(), r.begin(), r.end());
     if (node.residual != nullptr) {
-      JPAR_ASSIGN_OR_RETURN(Item cond, node.residual->Eval(joined, ctx));
+      JPAR_ASSIGN_OR_RETURN(Item cond, node.residual->Eval(joined, &ctx));
       JPAR_ASSIGN_OR_RETURN(bool keep, cond.EffectiveBooleanValue());
       if (!keep) return Status::OK();
     }
@@ -1635,7 +1413,7 @@ Status Executor::JoinOnePartition(const PNode& node,
         JPAR_RETURN_NOT_OK(Interrupted("join probe"));
       }
       JPAR_RETURN_NOT_OK(
-          EncodeKey(node.left_keys, probe, ctx, &encoded, nullptr));
+          EncodeKey(node.left_keys, probe, &ctx, &encoded, nullptr));
       auto it = table.find(encoded);
       if (it == table.end()) continue;
       for (size_t i : it->second) {
@@ -1655,7 +1433,7 @@ Status Executor::JoinOnePartition(const PNode& node,
       JPAR_RETURN_NOT_OK(Interrupted("join probe"));
     }
     JPAR_RETURN_NOT_OK(
-        EncodeKey(node.right_keys, right[r], ctx, &encoded, nullptr));
+        EncodeKey(node.right_keys, right[r], &ctx, &encoded, nullptr));
     auto it = table.find(encoded);
     if (it == table.end()) continue;
     for (size_t l : it->second) matches.emplace_back(l, r);
@@ -1690,27 +1468,20 @@ Result<Executor::PartitionSet> Executor::ExecJoin(const PNode& node,
   // (DESIGN.md §10 lists spillable joins as future work).
   MemoryTracker memory(options_.memory_limit_bytes,
                        options_.spill == SpillMode::kEnabled);
-  size_t nkeys = node.left_keys.size();
   // Keys were evaluated against pre-exchange column positions; the
   // exchanged tuples preserve layout, so re-evaluate the same evals.
   stage.partition_ms.assign(left_ex.parts.size(), 0.0);
   PartitionSet output;
   output.parts.assign(left_ex.parts.size(), {});
-  (void)nkeys;
   for (size_t p = 0; p < left_ex.parts.size(); ++p) {
     auto start = Clock::now();
-    EvalContext ctx;
-    ctx.catalog = catalog_;
-    ctx.memory = &memory;
     JPAR_RETURN_NOT_OK(JoinOnePartition(node, left_ex.parts[p],
-                                        right_ex.parts[p], &ctx, &memory,
+                                        right_ex.parts[p], &memory,
                                         &output.parts[p]));
     memory.Release(memory.current_bytes());
     stage.partition_ms[p] = ElapsedMs(start);
   }
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
+  NoteOperatorStats(memory, nullptr, 0, stats);
   stats->Merge(stage);
   return output;
 }
@@ -1737,11 +1508,8 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
   const bool spilling = options_.spill == SpillMode::kEnabled &&
                         options_.memory_limit_bytes > 0;
   MemoryTracker memory(options_.memory_limit_bytes, /*soft=*/true);
-  std::unique_ptr<SpillManager> spill_mgr;
-  if (options_.spill == SpillMode::kEnabled) {
-    JPAR_ASSIGN_OR_RETURN(spill_mgr,
-                          SpillManager::Create(options_.spill_dir, ctx_));
-  }
+  JPAR_ASSIGN_OR_RETURN(std::unique_ptr<SpillManager> spill_mgr,
+                        MaybeSpillManager(options_, ctx_));
   const uint64_t budget = memory.ShareOf(input.parts.size());
 
   // Local phase: evaluate keys and sort each partition.
@@ -1898,21 +1666,6 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
 
   PartitionSet output;
   output.parts.assign(1, {});
-  auto less_keyed = [&](const Keyed& a, const Keyed& b) -> bool {
-    for (size_t i = 0; i < a.keys.size(); ++i) {
-      bool ea = a.keys[i].SequenceLength() == 0;
-      bool eb = b.keys[i].SequenceLength() == 0;
-      int c;
-      if (ea || eb) {
-        c = static_cast<int>(eb) - static_cast<int>(ea);
-      } else {
-        c = a.keys[i].Compare(b.keys[i]).ValueOrDie();
-      }
-      if (i < node.sort_descending.size() && node.sort_descending[i]) c = -c;
-      if (c != 0) return c < 0;
-    }
-    return false;
-  };
   uint64_t merged = 0;
   while (true) {
     if (++merged % kCheckIntervalTuples == 0) {
@@ -1922,8 +1675,7 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
     for (size_t s = 0; s < sources.size(); ++s) {
       if (!sources[s].has_head) continue;
       if (best < 0 ||
-          less_keyed(sources[s].head,
-                     sources[static_cast<size_t>(best)].head)) {
+          compare(sources[s].head, sources[static_cast<size_t>(best)].head)) {
         best = static_cast<int>(s);
       }
     }
@@ -1933,13 +1685,10 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
     JPAR_RETURN_NOT_OK(advance(&win));
   }
   stage.exchange_ms += ElapsedMs(merge_start);
-  if (memory.peak_bytes() > stats->peak_retained_bytes &&
-      options_.spill == SpillMode::kEnabled) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
+  // Sort memory is tracked only for spill budgeting; without spilling
+  // it stays out of peak_retained_bytes.
   if (spill_mgr != nullptr) {
-    stats->spill_runs += spill_mgr->runs_created();
-    stats->spill_bytes_written += spill_mgr->bytes_written();
+    NoteOperatorStats(memory, spill_mgr.get(), 0, stats);
   }
   stats->Merge(stage);
   return output;
@@ -1963,127 +1712,40 @@ Result<std::vector<Tuple>> Executor::RunSubtree(const PNode& node,
   JPAR_RETURN_NOT_OK(ValidateExecOptions(options_));
   JPAR_ASSIGN_OR_RETURN(PartitionSet result, Exec(node, stats));
   std::vector<Tuple> out;
-  for (std::vector<Tuple>& part : result.parts) {
-    if (out.empty()) {
-      out = std::move(part);
-    } else {
-      out.insert(out.end(), std::make_move_iterator(part.begin()),
-                 std::make_move_iterator(part.end()));
-    }
-  }
+  for (std::vector<Tuple>& part : result.parts) AppendTuples(&out, &part);
   return out;
 }
 
 Result<std::vector<Tuple>> Executor::GroupByLocal(
     const PNode& node, const std::vector<Tuple>& input,
     ExecStats* stats) const {
-  const bool spilling = options_.spill == SpillMode::kEnabled;
-  MemoryTracker memory(options_.memory_limit_bytes, spilling);
-  std::unique_ptr<SpillManager> spill_mgr;
-  if (spilling) {
-    JPAR_ASSIGN_OR_RETURN(spill_mgr,
-                          SpillManager::Create(options_.spill_dir, ctx_));
-  }
-  uint64_t merge_passes = 0;
-  StageStats stage;
-  stage.name = "group-by (local)";
-  auto start = Clock::now();
-  EvalContext ctx;
-  ctx.catalog = catalog_;
-  ctx.memory = &memory;
-  SpillableGroupTable table(node.aggs, AggStep::kLocal, &memory,
-                            /*track_growth=*/spilling, ctx_, spill_mgr.get(),
-                            EffectiveSpillFanout(node), memory.ShareOf(1),
-                            &merge_passes);
-  std::string encoded;
-  Tuple key_items;
-  uint64_t processed = 0;
-  std::vector<Tuple> out;
-  for (const Tuple& tuple : input) {
-    if (++processed % kCheckIntervalTuples == 0) {
-      JPAR_RETURN_NOT_OK(Interrupted("group-by build"));
-    }
-    JPAR_RETURN_NOT_OK(
-        EncodeKey(node.keys, tuple, &ctx, &encoded, &key_items));
-    JPAR_RETURN_NOT_OK(
-        table.Add(encoded, key_items, [&](size_t i) -> Result<Item> {
-          return node.aggs[i].arg->Eval(tuple, &ctx);
-        }));
-  }
-  JPAR_RETURN_NOT_OK(table.Emit(&out));
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
-  if (spill_mgr != nullptr) {
-    stats->spill_runs += spill_mgr->runs_created();
-    stats->spill_bytes_written += spill_mgr->bytes_written();
-    stats->spill_merge_passes += merge_passes;
-  }
-  stage.partition_ms.assign(1, ElapsedMs(start));
-  stats->Merge(stage);
-  return out;
+  return GroupByFragment(node, AggStep::kLocal, input, stats);
 }
 
 Result<std::vector<Tuple>> Executor::GroupByGlobal(
     const PNode& node, const std::vector<Tuple>& input, bool from_partials,
     ExecStats* stats) const {
-  const bool spilling = options_.spill == SpillMode::kEnabled;
-  MemoryTracker memory(options_.memory_limit_bytes, spilling);
-  std::unique_ptr<SpillManager> spill_mgr;
-  if (spilling) {
-    JPAR_ASSIGN_OR_RETURN(spill_mgr,
-                          SpillManager::Create(options_.spill_dir, ctx_));
-  }
-  uint64_t merge_passes = 0;
-  size_t nkeys = node.keys.size();
-  std::vector<ScalarEvalPtr> exchange_keys;
-  if (from_partials) {
-    for (size_t i = 0; i < nkeys; ++i) {
-      exchange_keys.push_back(MakeColumnEval(static_cast<int>(i)));
-    }
-  } else {
-    exchange_keys = node.keys;
-  }
+  return GroupByFragment(
+      node, from_partials ? AggStep::kGlobal : AggStep::kComplete, input,
+      stats);
+}
 
+Result<std::vector<Tuple>> Executor::GroupByFragment(
+    const PNode& node, AggStep step, const std::vector<Tuple>& input,
+    ExecStats* stats) const {
+  MemoryTracker memory(options_.memory_limit_bytes,
+                       options_.spill == SpillMode::kEnabled);
+  JPAR_ASSIGN_OR_RETURN(std::unique_ptr<SpillManager> spill_mgr,
+                        MaybeSpillManager(options_, ctx_));
+  uint64_t merge_passes = 0;
   StageStats stage;
-  stage.name =
-      from_partials ? "group-by (global merge)" : "group-by (hash)";
+  stage.name = GroupByStageName(step);
   auto start = Clock::now();
-  EvalContext ctx;
-  ctx.catalog = catalog_;
-  ctx.memory = &memory;
-  AggStep step = from_partials ? AggStep::kGlobal : AggStep::kComplete;
-  SpillableGroupTable table(node.aggs, step, &memory,
-                            /*track_growth=*/true, ctx_, spill_mgr.get(),
-                            EffectiveSpillFanout(node), memory.ShareOf(1),
-                            &merge_passes);
-  std::string encoded;
-  Tuple key_items;
-  uint64_t processed = 0;
   std::vector<Tuple> out;
-  for (const Tuple& tuple : input) {
-    if (++processed % kCheckIntervalTuples == 0) {
-      JPAR_RETURN_NOT_OK(Interrupted("group-by build"));
-    }
-    JPAR_RETURN_NOT_OK(
-        EncodeKey(exchange_keys, tuple, &ctx, &encoded, &key_items));
-    JPAR_RETURN_NOT_OK(
-        table.Add(encoded, key_items, [&](size_t i) -> Result<Item> {
-          if (from_partials) {
-            return tuple[nkeys + i];
-          }
-          return node.aggs[i].arg->Eval(tuple, &ctx);
-        }));
-  }
-  JPAR_RETURN_NOT_OK(table.Emit(&out));
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
-  if (spill_mgr != nullptr) {
-    stats->spill_runs += spill_mgr->runs_created();
-    stats->spill_bytes_written += spill_mgr->bytes_written();
-    stats->spill_merge_passes += merge_passes;
-  }
+  JPAR_RETURN_NOT_OK(GroupByPartition(node, step, input, nullptr, &memory,
+                                      spill_mgr.get(), memory.ShareOf(1),
+                                      &merge_passes, &out));
+  NoteOperatorStats(memory, spill_mgr.get(), merge_passes, stats);
   stage.partition_ms.assign(1, ElapsedMs(start));
   stats->Merge(stage);
   return out;
@@ -2097,15 +1759,9 @@ Result<std::vector<Tuple>> Executor::JoinPartition(
   StageStats stage;
   stage.name = "hash-join";
   auto start = Clock::now();
-  EvalContext ctx;
-  ctx.catalog = catalog_;
-  ctx.memory = &memory;
   std::vector<Tuple> out;
-  JPAR_RETURN_NOT_OK(JoinOnePartition(node, left, right, &ctx, &memory, &out));
-  memory.Release(memory.current_bytes());
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
+  JPAR_RETURN_NOT_OK(JoinOnePartition(node, left, right, &memory, &out));
+  NoteOperatorStats(memory, nullptr, 0, stats);
   stage.partition_ms.assign(1, ElapsedMs(start));
   stats->Merge(stage);
   return out;
@@ -2120,46 +1776,25 @@ Result<std::vector<Tuple>> Executor::RunOps(
   StageStats stage;
   stage.name = "pipeline";
   auto start = Clock::now();
-  EvalContext ctx;
-  ctx.catalog = catalog_;
-  ctx.memory = &memory;
-  const bool batch_mode = UseBatchMode();
-  ctx.charge_boundaries = !batch_mode;
   std::vector<Tuple> out;
-  TupleSink sink = [&out](Tuple t) -> Status {
-    out.push_back(std::move(t));
-    return Status::OK();
-  };
-  uint64_t batches = 0;
-  std::unique_ptr<BatchPipe> pipe;
-  if (batch_mode) {
-    pipe = std::make_unique<BatchPipe>(
-        &ops, &ctx, options_.batch_size,
-        [this]() { return Interrupted("pipeline"); }, &out, &batches);
-  }
-  uint64_t processed = 0;
-  for (Tuple& t : input) {
-    if (++processed % kCheckIntervalTuples == 0) {
-      JPAR_RETURN_NOT_OK(Interrupted("pipeline"));
-    }
-    if (pipe != nullptr) {
-      JPAR_RETURN_NOT_OK(pipe->PushTuple(std::move(t)));
-    } else {
-      JPAR_RETURN_NOT_OK(RunChain(ops, 0, std::move(t), &ctx, sink));
-    }
-  }
-  if (pipe != nullptr) JPAR_RETURN_NOT_OK(pipe->Finish());
-  stats->batches_emitted += batches;
-  stage.pipeline_bytes += ctx.boundary_bytes;
-  if (ctx.max_tuple_bytes > stage.max_tuple_bytes) {
-    stage.max_tuple_bytes = ctx.max_tuple_bytes;
-  }
-  if (memory.peak_bytes() > stats->peak_retained_bytes) {
-    stats->peak_retained_bytes = memory.peak_bytes();
-  }
+  std::vector<TaskStats> task(1);
+  JPAR_RETURN_NOT_OK(PipelinePartition(ops, UseBatchMode(), std::move(input),
+                                       &memory, &out, &task[0]));
   stage.partition_ms.assign(1, ElapsedMs(start));
-  stats->Merge(stage);
+  JPAR_RETURN_NOT_OK(TaskStats::MergeStage(task, memory, &stage, stats));
   return out;
+}
+
+Status Executor::PipelinePartition(const std::vector<UnaryOpDesc>& ops,
+                                   bool batch_mode, std::vector<Tuple> input,
+                                   MemoryTracker* memory,
+                                   std::vector<Tuple>* out,
+                                   TaskStats* task) const {
+  PipelineTask pipeline(*this, ops, batch_mode, memory, out, task);
+  for (Tuple& t : input) {
+    JPAR_RETURN_NOT_OK(pipeline.PushTuple(std::move(t)));
+  }
+  return pipeline.Finish();
 }
 
 Result<std::vector<std::vector<Tuple>>> Executor::HashPartition(

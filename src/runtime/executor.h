@@ -19,6 +19,7 @@
 namespace jpar {
 
 struct PNode;
+class SpillManager;
 using PNodePtr = std::shared_ptr<const PNode>;
 
 /// Longest-processing-time list scheduling of `task_ms` onto `cores`
@@ -170,9 +171,11 @@ struct ExecOptions {
   /// Directory for temp run files; empty = the system temp directory.
   /// Must exist and be writable when spilling is enabled.
   std::string spill_dir;
-  /// Run partition tasks on real threads. Off by default: the
-  /// reproduction host is single-core, and sequential execution gives
-  /// deterministic per-partition timings for the makespan model.
+  /// Run partition tasks on real threads (DATASCANs as a morsel-driven
+  /// worker pool). Off by default: partitions then run one after
+  /// another, so each partition's time is measured undisturbed for the
+  /// makespan model. On a multi-core host (the reference machine has 4
+  /// cores) turning it on buys real wall-clock parallelism.
   bool use_threads = false;
   /// Simulated interconnect for cross-node exchange bytes.
   double network_gbps = 1.0;
@@ -273,10 +276,10 @@ class Executor {
 
   // ---- Fragment execution API (src/dist, DESIGN.md §11) -------------
   // Entry points for a distributed worker running one slice of a plan
-  // that was split at its exchange boundaries. Each mirrors the
-  // corresponding per-partition loop of the in-process operators —
-  // same EncodeKey, same hash, same insertion and emit order — so a
-  // distributed run reassembles byte-identical results.
+  // that was split at its exchange boundaries. Each wraps the private
+  // per-partition body that the in-process operators call for every
+  // partition — same EncodeKey, same hash, same insertion and emit
+  // order — so a distributed run reassembles byte-identical results.
 
   /// True when this group-by runs as two-step aggregation (local
   /// pre-aggregation, exchange of partials, global merge).
@@ -328,30 +331,64 @@ class Executor {
   struct PartitionSet {
     std::vector<std::vector<Tuple>> parts;
   };
+  /// Counters one pipeline task accumulates privately (executor.cc).
+  struct TaskStats;
+  /// One pipeline task's op chain, batch- or tuple-at-a-time
+  /// (executor.cc).
+  class PipelineTask;
 
   Result<PartitionSet> Exec(const PNode& node, ExecStats* stats) const;
   Result<PartitionSet> ExecPipeline(const PNode& node, ExecStats* stats) const;
-  /// Morsel-driven DATASCAN used when options_.use_threads: files are
-  /// split into newline-aligned morsels (~options_.morsel_bytes each)
-  /// that worker threads pull from a shared queue; per-morsel outputs
-  /// and stats land in private slots and are merged in task order after
-  /// the join, so results are byte-identical to the sequential scan.
-  Result<PartitionSet> ExecDataScanMorsels(
-      const PNode& node, const Collection& coll,
-      const std::vector<int>* file_filter, int pcount,
-      ExecStats* stats) const;
+  /// The DATASCAN driver. Each file's access path (columnar, tape or
+  /// cold) is resolved by one helper; two schedules run the scans.
+  /// Sequentially (use_threads off) each partition resolves and scans
+  /// its round-robin files one at a time. Threaded, every file is
+  /// resolved up front, split into newline-aligned morsels
+  /// (~options_.morsel_bytes each) and pulled by worker threads from a
+  /// shared queue; per-morsel outputs and stats land in private slots
+  /// merged in task order, so results are byte-identical either way.
+  Result<PartitionSet> ExecDataScanMorsels(const PNode& node,
+                                           ExecStats* stats) const;
   Result<PartitionSet> ExecGroupBy(const PNode& node, ExecStats* stats) const;
   Result<PartitionSet> ExecJoin(const PNode& node, ExecStats* stats) const;
-  /// One partition of the hash join, shared by ExecJoin and
-  /// JoinPartition. Canonically builds right / probes left; with
-  /// node.build_left the hash table is built over the left side and an
-  /// index-pair sort restores the canonical emit order, so the output
-  /// bytes are identical either way (DESIGN.md §15).
+  Result<PartitionSet> ExecSort(const PNode& node, ExecStats* stats) const;
+
+  // ---- Per-partition operator bodies ---------------------------------
+  // Shared by the in-process operators (one call per partition) and the
+  // fragment API (one call per worker fragment). Each charges the
+  // caller's MemoryTracker; releasing it between partitions is the
+  // caller's policy.
+
+  /// Streams `input` through `ops` into `out`.
+  Status PipelinePartition(const std::vector<UnaryOpDesc>& ops,
+                           bool batch_mode, std::vector<Tuple> input,
+                           MemoryTracker* memory, std::vector<Tuple>* out,
+                           TaskStats* task) const;
+  /// Aggregates `input` into `out` under `step`: kLocal pre-aggregates
+  /// raw tuples keyed by node.keys, kGlobal merges two-step partials
+  /// keyed by their leading columns, kComplete aggregates raw tuples in
+  /// one step. With `spill` set the table spills past `budget`. A
+  /// caller that owns `input` passes it again as `consumed`, and it is
+  /// cleared once folded, before the groups are emitted.
+  Status GroupByPartition(const PNode& node, AggStep step,
+                          const std::vector<Tuple>& input,
+                          std::vector<Tuple>* consumed,
+                          MemoryTracker* memory, SpillManager* spill,
+                          uint64_t budget, uint64_t* merge_passes,
+                          std::vector<Tuple>* out) const;
+  /// Canonically builds right / probes left; with node.build_left the
+  /// hash table is built over the left side and an index-pair sort
+  /// restores the canonical emit order, so the output bytes are
+  /// identical either way (DESIGN.md §15).
   Status JoinOnePartition(const PNode& node, const std::vector<Tuple>& left,
-                          const std::vector<Tuple>& right, EvalContext* ctx,
+                          const std::vector<Tuple>& right,
                           MemoryTracker* memory,
                           std::vector<Tuple>* out) const;
-  Result<PartitionSet> ExecSort(const PNode& node, ExecStats* stats) const;
+  /// GroupByLocal/GroupByGlobal: one GroupByPartition as its own
+  /// single-partition stage.
+  Result<std::vector<Tuple>> GroupByFragment(const PNode& node, AggStep step,
+                                             const std::vector<Tuple>& input,
+                                             ExecStats* stats) const;
 
   /// Hash-exchanges `input` into options_.partitions buckets by the
   /// encoded value of `key_evals`; records serde bytes/frames and

@@ -12,9 +12,11 @@ namespace jpar {
 /// to completion before the next stage starts.
 struct StageStats {
   std::string name;
-  /// Wall-clock milliseconds per partition task. On a single-core host
-  /// partitions run sequentially; the simulated-parallel makespan of the
-  /// stage is max(partition_ms).
+  /// Wall-clock milliseconds per partition task (per scan worker in a
+  /// threaded DATASCAN). Tasks run one after another unless
+  /// ExecOptions::use_threads, so each time is undisturbed by the
+  /// others; the makespan model LPT-schedules them onto the modeled
+  /// cores.
   std::vector<double> partition_ms;
   /// Total time spent serializing/deserializing and routing exchange
   /// frames (single-host wall clock; kept for reference).

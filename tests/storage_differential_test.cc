@@ -28,6 +28,7 @@
 #include "bench/queries.h"
 #include "core/engine.h"
 #include "data/sensor_generator.h"
+#include "stats/collection_stats.h"
 #include "storage/storage_tier.h"
 
 namespace jpar {
@@ -116,6 +117,9 @@ struct RunResult {
   uint64_t tape_builds = 0;
   uint64_t columns_read = 0;
   uint64_t blocks_pruned = 0;
+  uint64_t bytes_scanned = 0;
+  uint64_t items_scanned = 0;
+  uint64_t stats_paths_built = 0;
 };
 
 RunResult RunWith(const Engine& engine, const CompiledQuery& plan,
@@ -133,6 +137,9 @@ RunResult RunWith(const Engine& engine, const CompiledQuery& plan,
     r.tape_builds = out->stats.tape_builds;
     r.columns_read = out->stats.columns_read;
     r.blocks_pruned = out->stats.blocks_pruned;
+    r.bytes_scanned = out->stats.bytes_scanned;
+    r.items_scanned = out->stats.items_scanned;
+    r.stats_paths_built = out->stats.stats_paths_built;
   }
   return r;
 }
@@ -416,6 +423,87 @@ TEST_F(StaleCacheTest, SameSizeRewriteWithMtimeBumpFallsBackCold) {
         TempCollectionDir::BumpMtime(path, 3);
       },
       "same-size rewrite");
+}
+
+// ---------------------------------------------------------------------
+// Sequential vs threaded schedules of the scan driver
+
+/// Runs `exec` cold and then warm (storage and stats on) over three
+/// fresh path-backed NDJSON files, the middle one holding one malformed
+/// line. Fresh paths give every schedule the same empty cache state.
+std::vector<RunResult> ColdThenWarm(const ExecOptions& exec) {
+  StorageManager::Instance().Clear();
+  TempCollectionDir dir;
+  Engine engine;
+  Collection c;
+  for (int f = 0; f < 3; ++f) {
+    std::string text = CleanNdjson(30, f * 100);
+    if (f == 1) {
+      text += "{\"v\": 999, \"g\": \"a\"\n";  // truncated record
+      text += CleanNdjson(10, 150);
+    }
+    c.files.push_back(JsonFile::FromPath(
+        dir.Write("parity_" + std::to_string(f) + ".ndjson", text)));
+  }
+  engine.catalog()->RegisterCollection("/dirty", std::move(c));
+  auto compiled = engine.Compile(kDirtyQuery, RuleOptions::All());
+  EXPECT_TRUE(compiled.ok()) << compiled.status().ToString();
+  if (!compiled.ok()) return {};
+  return {RunWith(engine, *compiled, exec, StorageMode::kAuto),
+          RunWith(engine, *compiled, exec, StorageMode::kAuto)};
+}
+
+// The sequential schedule (use_threads off) and the threaded one with
+// file splitting off resolve the same access path for every file, so
+// they must agree on every row and every scan counter, cold and warm.
+TEST(StorageDifferentialTest, SequentialAndThreadedScansAgreeColdAndWarm) {
+  ExecOptions seq;
+  seq.partitions = 2;
+  seq.storage_mode = StorageMode::kAuto;
+  seq.stats_mode = StatsMode::kAuto;
+  ExecOptions threaded = seq;
+  threaded.use_threads = true;
+  threaded.morsel_bytes = 0;
+
+  for (ParseErrorPolicy policy :
+       {ParseErrorPolicy::kSkipAndCount, ParseErrorPolicy::kFail}) {
+    seq.on_parse_error = policy;
+    threaded.on_parse_error = policy;
+    const bool lenient = policy == ParseErrorPolicy::kSkipAndCount;
+    std::vector<RunResult> want = ColdThenWarm(seq);
+    std::vector<RunResult> got = ColdThenWarm(threaded);
+    ASSERT_EQ(want.size(), 2u);
+    ASSERT_EQ(got.size(), 2u);
+    for (size_t run = 0; run < 2; ++run) {
+      std::string what = std::string(lenient ? "lenient" : "strict") +
+                         (run == 0 ? " cold" : " warm");
+      const RunResult& w = want[run];
+      const RunResult& g = got[run];
+      ASSERT_EQ(w.ok, lenient) << what << ": " << w.message;
+      ASSERT_EQ(g.ok, lenient) << what << ": " << g.message;
+      EXPECT_EQ(static_cast<int>(g.code), static_cast<int>(w.code)) << what;
+      if (!lenient) continue;
+      EXPECT_EQ(g.rows, w.rows) << what;
+      EXPECT_EQ(g.bytes_scanned, w.bytes_scanned) << what;
+      EXPECT_EQ(g.items_scanned, w.items_scanned) << what;
+      EXPECT_EQ(g.skipped, w.skipped) << what;
+      EXPECT_EQ(g.tape_hits, w.tape_hits) << what;
+      EXPECT_EQ(g.tape_builds, w.tape_builds) << what;
+      EXPECT_EQ(g.columns_read, w.columns_read) << what;
+      EXPECT_EQ(g.blocks_pruned, w.blocks_pruned) << what;
+      EXPECT_EQ(g.stats_paths_built, w.stats_paths_built) << what;
+    }
+    if (lenient) {
+      EXPECT_EQ(want[0].skipped, 1u);
+      if (!StorageCacheDisabledByEnv()) {
+        // Non-vacuous: the warm run really took the columnar path.
+        EXPECT_GT(want[1].columns_read, 0u);
+      }
+      if (!StatsDisabledByEnv()) {
+        EXPECT_GT(want[0].stats_paths_built, 0u);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
