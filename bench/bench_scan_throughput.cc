@@ -5,10 +5,12 @@
 //      supports (SWAR always; SSE2/AVX2 when present),
 //   2. projected-scan GB/s for the scalar byte-loop vs the indexed
 //      pipeline, on a materialize-heavy and a SkipValue-heavy path,
-//   3. morsel-parallel scaling of one large file: per-morsel times are
-//      measured sequentially and LPT-scheduled onto 1/2/4/8 modeled
-//      cores (the reproduction host has one core, same convention as
-//      Fig. 17), next to the real threaded wall-clock for the record.
+//   3. morsel-parallel scaling of one large file on 1/2/4/8 real
+//      threads. The headline is the real wall-clock speedup (1-thread
+//      real time / t-thread real time), printed with the host's core
+//      count. Beside it, per-morsel times measured sequentially are
+//      LPT-scheduled onto min(threads, nproc) modeled cores, so the
+//      model cannot claim more speedup than the host has cores.
 //
 // Besides the stdout tables it writes BENCH_scan_throughput.json to
 // the current directory (run_benches.sh runs from the repo root) so
@@ -151,26 +153,31 @@ double LptMakespan(std::vector<double> tasks, int cores) {
   return makespan;
 }
 
-/// Real threaded wall-clock: workers pull morsels off an atomic queue,
-/// exactly like Executor::ExecDataScanMorsels.
+/// Real threaded wall-clock, best of Repeats(): workers pull morsels
+/// off an atomic queue, exactly like Executor::ExecDataScanMorsels.
 double ThreadedWallClock(const std::string& text,
                          const std::vector<std::pair<size_t, size_t>>& morsels,
                          const std::vector<PathStep>& steps, int threads) {
-  std::atomic<size_t> next{0};
-  Clock::time_point t0 = Clock::now();
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(threads));
-  for (int w = 0; w < threads; ++w) {
-    pool.emplace_back([&] {
-      while (true) {
-        size_t t = next.fetch_add(1);
-        if (t >= morsels.size()) break;
-        ScanRange(text, morsels[t].first, morsels[t].second, steps);
-      }
-    });
+  double best = 0;
+  for (int rep = 0; rep < Repeats(); ++rep) {
+    std::atomic<size_t> next{0};
+    Clock::time_point t0 = Clock::now();
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<size_t>(threads));
+    for (int w = 0; w < threads; ++w) {
+      pool.emplace_back([&] {
+        while (true) {
+          size_t t = next.fetch_add(1);
+          if (t >= morsels.size()) break;
+          ScanRange(text, morsels[t].first, morsels[t].second, steps);
+        }
+      });
+    }
+    for (std::thread& th : pool) th.join();
+    double secs = Seconds(t0, Clock::now());
+    if (rep == 0 || secs < best) best = secs;
   }
-  for (std::thread& th : pool) th.join();
-  return Seconds(t0, Clock::now());
+  return best;
 }
 
 void Run() {
@@ -224,20 +231,30 @@ void Run() {
     task_times.push_back(best);
   }
   const int kThreads[] = {1, 2, 4, 8};
+  const int nproc =
+      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   double base = LptMakespan(task_times, 1);
-  PrintTableHeader("Morsel scaling (modeled LPT makespan)",
-                   {"threads", "GB/s", "speedup", "real wall s"});
-  std::vector<double> morsel_gbps, morsel_speedup, morsel_real;
+  std::printf("\nnproc: %d\n", nproc);
+  PrintTableHeader("Morsel scaling (real wall clock; LPT model beside it)",
+                   {"threads", "real wall s", "real speedup",
+                    "modeled GB/s", "modeled speedup"});
+  std::vector<double> morsel_gbps, morsel_speedup, morsel_real,
+      real_speedup;
   for (int t : kThreads) {
-    double makespan = LptMakespan(task_times, t);
+    // The model gets no more cores than the host has.
+    double makespan = LptMakespan(task_times, std::min(t, nproc));
     double gbps = gb / makespan;
     double real = ThreadedWallClock(corpus, morsels, skip_heavy, t);
     morsel_gbps.push_back(gbps);
     morsel_speedup.push_back(base / makespan);
     morsel_real.push_back(real);
-    PrintTableRow({std::to_string(t), std::to_string(gbps),
-                   std::to_string(base / makespan), std::to_string(real)});
+    real_speedup.push_back(morsel_real.front() / real);
+    PrintTableRow({std::to_string(t), std::to_string(real),
+                   std::to_string(real_speedup.back()), std::to_string(gbps),
+                   std::to_string(base / makespan)});
   }
+  std::printf("real speedup at %d threads on %d cores: %.2fx\n",
+              kThreads[2], nproc, real_speedup[2]);
 
   FILE* out = std::fopen("BENCH_scan_throughput.json", "w");
   if (out == nullptr) {
@@ -261,6 +278,7 @@ void Run() {
                "  \"scan_touch_all_gbps\": {\"scalar\": %.3f, "
                "\"indexed\": %.3f},\n",
                touch_scalar, touch_indexed);
+  std::fprintf(out, "  \"nproc\": %d,\n", nproc);
   std::fprintf(out, "  \"morsel_scaling\": {\n    \"threads\": [1, 2, 4, 8],\n");
   std::fprintf(out, "    \"modeled_gbps\": [");
   for (size_t i = 0; i < morsel_gbps.size(); ++i) {
@@ -273,6 +291,10 @@ void Run() {
   std::fprintf(out, "],\n    \"real_wall_seconds\": [");
   for (size_t i = 0; i < morsel_real.size(); ++i) {
     std::fprintf(out, "%s%.4f", i ? ", " : "", morsel_real[i]);
+  }
+  std::fprintf(out, "],\n    \"real_speedup\": [");
+  for (size_t i = 0; i < real_speedup.size(); ++i) {
+    std::fprintf(out, "%s%.3f", i ? ", " : "", real_speedup[i]);
   }
   std::fprintf(out, "]\n  }\n}\n");
   std::fclose(out);

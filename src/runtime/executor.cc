@@ -11,6 +11,10 @@
 #include <unordered_map>
 #include <utility>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include "json/binary_serde.h"
 #include "json/parser.h"
 #include "runtime/frame.h"
@@ -203,16 +207,39 @@ void RunTasks(size_t n, bool threaded, const std::function<void(size_t)>& fn) {
   for (std::thread& t : threads) t.join();
 }
 
+/// Runs fn(0) .. fn(n - 1) through RunTasks and returns the first
+/// failure in task order. A task not yet started when another fails is
+/// skipped, so the sequential schedule stops where it fails.
+Status RunPartitionTasks(size_t n, bool threaded,
+                         const std::function<Status(size_t)>& fn) {
+  std::vector<Status> status(n);
+  std::atomic<bool> failed{false};
+  RunTasks(n, threaded, [&](size_t i) {
+    if (failed.load(std::memory_order_relaxed)) return;
+    status[i] = fn(i);
+    if (!status[i].ok()) failed.store(true, std::memory_order_relaxed);
+  });
+  for (const Status& st : status) JPAR_RETURN_NOT_OK(st);
+  return Status::OK();
+}
+
 /// Folds an operator's tracked peak and spill activity into the query.
-void NoteOperatorStats(const MemoryTracker& memory, const SpillManager* spill,
+void NoteOperatorStats(uint64_t peak_bytes, const SpillManager* spill,
                        uint64_t merge_passes, ExecStats* stats) {
   stats->peak_retained_bytes =
-      std::max(stats->peak_retained_bytes, memory.peak_bytes());
+      std::max(stats->peak_retained_bytes, peak_bytes);
   if (spill != nullptr) {
     stats->spill_runs += spill->runs_created();
     stats->spill_bytes_written += spill->bytes_written();
     stats->spill_merge_passes += merge_passes;
   }
+}
+
+/// The memory tracker of one blocking operator (or one of its tasks):
+/// the limit is hard unless spilling makes it a budget (DESIGN.md §10).
+std::unique_ptr<MemoryTracker> OperatorTracker(const ExecOptions& options) {
+  return std::make_unique<MemoryTracker>(
+      options.memory_limit_bytes, options.spill == SpillMode::kEnabled);
 }
 
 /// The run-file manager of one blocking operator; null unless spilling.
@@ -222,6 +249,25 @@ Result<std::unique_ptr<SpillManager>> MaybeSpillManager(
     return std::unique_ptr<SpillManager>();
   }
   return SpillManager::Create(options.spill_dir, ctx);
+}
+
+/// What one partition task of a group-by or join owns, so no two
+/// threads charge one tracker or write through one spill manager
+/// (DESIGN.md §10). `memory` stays null when the stage charges a
+/// shared tracker instead.
+struct OperatorTask {
+  std::unique_ptr<MemoryTracker> memory;
+  std::unique_ptr<SpillManager> spill;
+  uint64_t merge_passes = 0;
+};
+
+/// Folds a stage's tasks into the query in task order.
+void NoteOperatorTasks(const std::vector<OperatorTask>& tasks,
+                       ExecStats* stats) {
+  for (const OperatorTask& t : tasks) {
+    NoteOperatorStats(t.memory != nullptr ? t.memory->peak_bytes() : 0,
+                      t.spill.get(), t.merge_passes, stats);
+  }
 }
 
 /// Group-by key evaluators: node.keys over raw tuples, or the leading
@@ -610,7 +656,7 @@ struct Executor::TaskStats {
       stage->pipeline_bytes += t.boundary_bytes;
       stage->max_tuple_bytes = std::max(stage->max_tuple_bytes, t.max_tuple);
     }
-    NoteOperatorStats(memory, nullptr, 0, stats);
+    NoteOperatorStats(memory.peak_bytes(), nullptr, 0, stats);
     stats->Merge(*stage);
     return Status::OK();
   }
@@ -1174,82 +1220,100 @@ Result<Executor::PartitionSet> Executor::ExecDataScanMorsels(
 }
 
 Result<Executor::PartitionSet> Executor::Exchange(
-    const PartitionSet& input, const std::vector<ScalarEvalPtr>& key_evals,
+    PartitionSet* input, const std::vector<ScalarEvalPtr>& key_evals,
     StageStats* stage, ExecStats* stats) const {
-  int pcount = options_.partitions;
-  if (pcount < 1) pcount = 1;
+  const size_t pcount = static_cast<size_t>(std::max(options_.partitions, 1));
+  const size_t nsrc = input->parts.size();
   auto start = Clock::now();
 
-  EvalContext ctx;
-  ctx.catalog = catalog_;
+  // Sender side: one task per source partition encodes and routes its
+  // tuples into its own row of (source, destination) frame streams,
+  // then frees the source partition.
+  std::vector<std::vector<FrameBuilder>> builders(nsrc);
+  std::vector<double> src_ms(nsrc, 0.0);
+  JPAR_RETURN_NOT_OK(RunPartitionTasks(
+      nsrc, options_.use_threads, [&](size_t src) -> Status {
+        JPAR_RETURN_NOT_OK(Interrupted("exchange"));
+        auto src_start = Clock::now();
+        std::vector<FrameBuilder>& row = builders[src];
+        row.reserve(pcount);
+        for (size_t dst = 0; dst < pcount; ++dst) {
+          row.emplace_back(options_.frame_bytes);
+        }
+        EvalContext ctx;
+        ctx.catalog = catalog_;
+        std::hash<std::string> hasher;
+        std::string encoded;
+        for (const Tuple& tuple : input->parts[src]) {
+          JPAR_RETURN_NOT_OK(
+              EncodeKey(key_evals, tuple, &ctx, &encoded, nullptr));
+          row[hasher(encoded) % pcount].Append(tuple);
+        }
+        std::vector<Tuple>().swap(input->parts[src]);
+        src_ms[src] = ElapsedMs(src_start);
+        return Status::OK();
+      }));
 
-  // Serialize into per-(source, destination) frame streams.
-  std::vector<std::vector<FrameBuilder>> builders;
-  builders.reserve(input.parts.size());
-  for (size_t src = 0; src < input.parts.size(); ++src) {
-    builders.emplace_back();
-    for (int dst = 0; dst < pcount; ++dst) {
-      builders[src].emplace_back(options_.frame_bytes);
-    }
-  }
-
-  // Sender side: each source partition encodes and routes its tuples
-  // (parallel tasks in a real cluster; timed per source here).
-  std::hash<std::string> hasher;
-  std::string encoded;
-  std::vector<double> src_ms(input.parts.size(), 0.0);
-  for (size_t src = 0; src < input.parts.size(); ++src) {
-    JPAR_RETURN_NOT_OK(Interrupted("exchange"));
-    auto src_start = Clock::now();
-    for (const Tuple& tuple : input.parts[src]) {
-      JPAR_RETURN_NOT_OK(
-          EncodeKey(key_evals, tuple, &ctx, &encoded, nullptr));
-      size_t dst = hasher(encoded) % static_cast<size_t>(pcount);
-      builders[src][dst].Append(tuple);
-    }
-    src_ms[src] = ElapsedMs(src_start);
-  }
-
-  // Route frames, tallying bytes and modeled network time for frames
-  // that cross node boundaries; receiver side decodes per destination.
-  PartitionSet output;
-  output.parts.assign(static_cast<size_t>(pcount), {});
+  // Route frames serially in (source, destination) order, tallying
+  // bytes and modeled network time for frames that cross node
+  // boundaries.
+  std::vector<std::vector<std::vector<Frame>>> streams(nsrc);
+  std::vector<size_t> dst_tuples(pcount, 0);
   uint64_t cross_bytes = 0;
   uint64_t critical_stream_frames = 0;  // frames on the slowest stream
-  std::vector<double> dst_ms(static_cast<size_t>(pcount), 0.0);
-  for (size_t src = 0; src < builders.size(); ++src) {
+  for (size_t src = 0; src < nsrc; ++src) {
     JPAR_RETURN_NOT_OK(Interrupted("exchange"));
-    for (int dst = 0; dst < pcount; ++dst) {
+    streams[src].resize(pcount);
+    for (size_t dst = 0; dst < pcount; ++dst) {
       // Each (src, dst) frame stream is one network transfer in the
       // modeled cluster — the natural place to lose frames.
       JPAR_RETURN_NOT_OK(Fault(FaultInjector::kExchangeFrameDrop));
-      FrameBuilder& b = builders[src][static_cast<size_t>(dst)];
+      FrameBuilder& b = builders[src][dst];
       stage->exchange_bytes += b.total_bytes();
       stage->exchange_tuples += b.tuple_count();
       stage->oversized_frames += b.oversized_frames();
       if (b.max_tuple_bytes() > stage->max_tuple_bytes) {
         stage->max_tuple_bytes = b.max_tuple_bytes();
       }
-      std::vector<Frame> frames = b.Finish();
+      dst_tuples[dst] += b.tuple_count();
+      std::vector<Frame>& frames = streams[src][dst];
+      frames = b.Finish();
       stage->exchange_frames += frames.size();
-      if (NodeOfPartition(static_cast<int>(src)) != NodeOfPartition(dst)) {
+      if (NodeOfPartition(static_cast<int>(src)) !=
+          NodeOfPartition(static_cast<int>(dst))) {
         for (const Frame& f : frames) cross_bytes += f.bytes.size();
         if (frames.size() > critical_stream_frames) {
           critical_stream_frames = frames.size();
         }
       }
-      auto dst_start = Clock::now();
-      FrameReader reader(frames);
-      Tuple t;
-      while (true) {
-        JPAR_ASSIGN_OR_RETURN(bool more, reader.Next(&t));
-        if (!more) break;
-        output.parts[static_cast<size_t>(dst)].push_back(std::move(t));
-        t = Tuple();
-      }
-      dst_ms[static_cast<size_t>(dst)] += ElapsedMs(dst_start);
     }
   }
+  builders.clear();
+
+  // Receiver side: one task per destination decodes its streams in
+  // source order, freeing each stream once read.
+  PartitionSet output;
+  output.parts.assign(pcount, {});
+  std::vector<double> dst_ms(pcount, 0.0);
+  JPAR_RETURN_NOT_OK(RunPartitionTasks(
+      pcount, options_.use_threads, [&](size_t dst) -> Status {
+        auto dst_start = Clock::now();
+        std::vector<Tuple>& out = output.parts[dst];
+        out.reserve(dst_tuples[dst]);
+        for (size_t src = 0; src < nsrc; ++src) {
+          std::vector<Frame> frames = std::move(streams[src][dst]);
+          FrameReader reader(frames);
+          Tuple t;
+          while (true) {
+            JPAR_ASSIGN_OR_RETURN(bool more, reader.Next(&t));
+            if (!more) break;
+            out.push_back(std::move(t));
+            t = Tuple();
+          }
+        }
+        dst_ms[dst] = ElapsedMs(dst_start);
+        return Status::OK();
+      }));
   stage->exchange_task_ms.push_back(std::move(src_ms));
   stage->exchange_task_ms.push_back(std::move(dst_ms));
 
@@ -1269,30 +1333,15 @@ Result<Executor::PartitionSet> Executor::Exchange(
 Result<Executor::PartitionSet> Executor::ExecGroupBy(
     const PNode& node, ExecStats* stats) const {
   JPAR_ASSIGN_OR_RETURN(PartitionSet input, Exec(*node.input, stats));
-
-  const bool spilling = options_.spill == SpillMode::kEnabled;
-  MemoryTracker memory(options_.memory_limit_bytes, spilling);
-  JPAR_ASSIGN_OR_RETURN(std::unique_ptr<SpillManager> spill_mgr,
-                        MaybeSpillManager(options_, ctx_));
-  uint64_t merge_passes = 0;
   const bool two_step = GroupByUsesTwoStep(node);
 
   // ---- Optional local pre-aggregation stage -------------------------
   if (two_step) {
     StageStats local_stage;
     local_stage.name = GroupByStageName(AggStep::kLocal);
-    local_stage.partition_ms.assign(input.parts.size(), 0.0);
-    PartitionSet partials;
-    partials.parts.assign(input.parts.size(), {});
-    for (size_t p = 0; p < input.parts.size(); ++p) {
-      auto start = Clock::now();
-      JPAR_RETURN_NOT_OK(GroupByPartition(
-          node, AggStep::kLocal, input.parts[p], &input.parts[p], &memory,
-          spill_mgr.get(), memory.ShareOf(input.parts.size()), &merge_passes,
-          &partials.parts[p]));
-      memory.Release(memory.current_bytes());
-      local_stage.partition_ms[p] = ElapsedMs(start);
-    }
+    JPAR_ASSIGN_OR_RETURN(PartitionSet partials,
+                          GroupByStage(node, AggStep::kLocal, &input,
+                                       nullptr, &local_stage, stats));
     stats->Merge(local_stage);
     input = std::move(partials);
   }
@@ -1302,27 +1351,49 @@ Result<Executor::PartitionSet> Executor::ExecGroupBy(
   StageStats global_stage;
   global_stage.name = GroupByStageName(step);
   JPAR_ASSIGN_OR_RETURN(PartitionSet exchanged,
-                        Exchange(input, GroupKeyEvals(node, two_step),
+                        Exchange(&input, GroupKeyEvals(node, two_step),
                                  &global_stage, stats));
-  input.parts.clear();
-  global_stage.partition_ms.assign(exchanged.parts.size(), 0.0);
-  PartitionSet output;
-  output.parts.assign(exchanged.parts.size(), {});
-  for (size_t p = 0; p < exchanged.parts.size(); ++p) {
-    auto start = Clock::now();
-    JPAR_RETURN_NOT_OK(GroupByPartition(
-        node, step, exchanged.parts[p], &exchanged.parts[p], &memory,
-        spill_mgr.get(), memory.ShareOf(exchanged.parts.size()),
-        &merge_passes, &output.parts[p]));
-    // The hard-limit mode deliberately never releases between global
-    // partitions (it emulates all partitions resident at once, which is
-    // what Table 3 measures); the budgeted mode governs each partition
-    // task, so its memory returns as soon as the task emits.
-    if (spilling) memory.Release(memory.current_bytes());
-    global_stage.partition_ms[p] = ElapsedMs(start);
-  }
-  NoteOperatorStats(memory, spill_mgr.get(), merge_passes, stats);
+  // The hard-limit mode deliberately charges every global partition to
+  // one tracker that is never released (it emulates all partitions
+  // resident at once, which is what Table 3 measures); the budgeted
+  // mode governs each partition task on its own tracker.
+  MemoryTracker resident(options_.memory_limit_bytes);
+  const bool spilling = options_.spill == SpillMode::kEnabled;
+  JPAR_ASSIGN_OR_RETURN(
+      PartitionSet output,
+      GroupByStage(node, step, &exchanged, spilling ? nullptr : &resident,
+                   &global_stage, stats));
+  NoteOperatorStats(resident.peak_bytes(), nullptr, 0, stats);
   stats->Merge(global_stage);
+  return output;
+}
+
+Result<Executor::PartitionSet> Executor::GroupByStage(
+    const PNode& node, AggStep step, PartitionSet* input,
+    MemoryTracker* resident, StageStats* stage, ExecStats* stats) const {
+  const size_t pcount = input->parts.size();
+  std::vector<OperatorTask> tasks(pcount);
+  stage->partition_ms.assign(pcount, 0.0);
+  PartitionSet output;
+  output.parts.assign(pcount, {});
+  JPAR_RETURN_NOT_OK(RunPartitionTasks(
+      pcount, options_.use_threads, [&](size_t p) -> Status {
+        auto start = Clock::now();
+        OperatorTask& task = tasks[p];
+        MemoryTracker* memory = resident;
+        if (memory == nullptr) {
+          task.memory = OperatorTracker(options_);
+          memory = task.memory.get();
+        }
+        JPAR_ASSIGN_OR_RETURN(task.spill, MaybeSpillManager(options_, ctx_));
+        JPAR_RETURN_NOT_OK(GroupByPartition(
+            node, step, input->parts[p], &input->parts[p], memory,
+            task.spill.get(), memory->ShareOf(pcount), &task.merge_passes,
+            &output.parts[p]));
+        stage->partition_ms[p] = ElapsedMs(start);
+        return Status::OK();
+      }));
+  NoteOperatorTasks(tasks, stats);
   return output;
 }
 
@@ -1361,7 +1432,7 @@ Status Executor::GroupByPartition(const PNode& node, AggStep step,
           return node.aggs[i].arg->Eval(tuple, &ctx);
         }));
   }
-  if (consumed != nullptr) consumed->clear();
+  if (consumed != nullptr) std::vector<Tuple>().swap(*consumed);
   return table.Emit(out);
 }
 
@@ -1457,31 +1528,36 @@ Result<Executor::PartitionSet> Executor::ExecJoin(const PNode& node,
   StageStats stage;
   stage.name = "hash-join";
   JPAR_ASSIGN_OR_RETURN(PartitionSet left_ex,
-                        Exchange(left, node.left_keys, &stage, stats));
-  left.parts.clear();
+                        Exchange(&left, node.left_keys, &stage, stats));
   JPAR_ASSIGN_OR_RETURN(PartitionSet right_ex,
-                        Exchange(right, node.right_keys, &stage, stats));
-  right.parts.clear();
+                        Exchange(&right, node.right_keys, &stage, stats));
 
   // Hash joins cannot spill yet; with spilling enabled the build side
   // overruns the budget softly instead of failing the query
-  // (DESIGN.md §10 lists spillable joins as future work).
-  MemoryTracker memory(options_.memory_limit_bytes,
-                       options_.spill == SpillMode::kEnabled);
-  // Keys were evaluated against pre-exchange column positions; the
-  // exchanged tuples preserve layout, so re-evaluate the same evals.
-  stage.partition_ms.assign(left_ex.parts.size(), 0.0);
+  // (DESIGN.md §10 lists spillable joins as future work). Each
+  // partition task charges its own tracker, so a hard limit applies
+  // per partition.
+  const size_t pcount = left_ex.parts.size();
+  std::vector<OperatorTask> tasks(pcount);
+  stage.partition_ms.assign(pcount, 0.0);
   PartitionSet output;
-  output.parts.assign(left_ex.parts.size(), {});
-  for (size_t p = 0; p < left_ex.parts.size(); ++p) {
-    auto start = Clock::now();
-    JPAR_RETURN_NOT_OK(JoinOnePartition(node, left_ex.parts[p],
-                                        right_ex.parts[p], &memory,
-                                        &output.parts[p]));
-    memory.Release(memory.current_bytes());
-    stage.partition_ms[p] = ElapsedMs(start);
-  }
-  NoteOperatorStats(memory, nullptr, 0, stats);
+  output.parts.assign(pcount, {});
+  JPAR_RETURN_NOT_OK(RunPartitionTasks(
+      pcount, options_.use_threads, [&](size_t p) -> Status {
+        auto start = Clock::now();
+        tasks[p].memory = OperatorTracker(options_);
+        // Keys were evaluated against pre-exchange column positions; the
+        // exchanged tuples preserve layout, so re-evaluate the same evals.
+        JPAR_RETURN_NOT_OK(JoinOnePartition(node, left_ex.parts[p],
+                                            right_ex.parts[p],
+                                            tasks[p].memory.get(),
+                                            &output.parts[p]));
+        std::vector<Tuple>().swap(left_ex.parts[p]);
+        std::vector<Tuple>().swap(right_ex.parts[p]);
+        stage.partition_ms[p] = ElapsedMs(start);
+        return Status::OK();
+      }));
+  NoteOperatorTasks(tasks, stats);
   stats->Merge(stage);
   return output;
 }
@@ -1489,13 +1565,11 @@ Result<Executor::PartitionSet> Executor::ExecJoin(const PNode& node,
 Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
                                                   ExecStats* stats) const {
   JPAR_ASSIGN_OR_RETURN(PartitionSet input, Exec(*node.input, stats));
+  const size_t pcount = input.parts.size();
 
   StageStats stage;
   stage.name = "sort";
-  stage.partition_ms.assign(input.parts.size(), 0.0);
-
-  EvalContext ctx;
-  ctx.catalog = catalog_;
+  stage.partition_ms.assign(pcount, 0.0);
 
   // Memory governance (DESIGN.md §10): when spilling is enabled each
   // partition tracks its keyed rows against its budget share and, on
@@ -1505,12 +1579,10 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
   // order and the merge takes the *first* strictly-smaller source, the
   // output is byte-identical to the in-memory stable sort. When
   // disabled, sort is untracked, exactly as before.
-  const bool spilling = options_.spill == SpillMode::kEnabled &&
-                        options_.memory_limit_bytes > 0;
-  MemoryTracker memory(options_.memory_limit_bytes, /*soft=*/true);
-  JPAR_ASSIGN_OR_RETURN(std::unique_ptr<SpillManager> spill_mgr,
-                        MaybeSpillManager(options_, ctx_));
-  const uint64_t budget = memory.ShareOf(input.parts.size());
+  const bool spill_enabled = options_.spill == SpillMode::kEnabled;
+  const bool spilling = spill_enabled && options_.memory_limit_bytes > 0;
+  const uint64_t budget =
+      MemoryTracker(options_.memory_limit_bytes).ShareOf(pcount);
 
   // Local phase: evaluate keys and sort each partition.
   struct Keyed {
@@ -1522,7 +1594,13 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
     if (item.is_numeric()) return -1;
     return static_cast<int>(item.kind());
   };
-  std::vector<int> key_classes(node.sort_keys.size(), INT_MIN);
+  // Records `cls` as key column i's class; false when it differs from
+  // the class already recorded there.
+  auto note_class = [](std::vector<int>* classes, size_t i, int cls) {
+    int& known = (*classes)[i];
+    if (known == INT_MIN) known = cls;
+    return known == cls;
+  };
   auto compare = [&](const Keyed& a, const Keyed& b) {
     for (size_t i = 0; i < a.keys.size(); ++i) {
       bool ea = a.keys[i].SequenceLength() == 0;
@@ -1541,18 +1619,23 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
     return false;
   };
 
-  std::vector<std::vector<Keyed>> sorted(input.parts.size());
-  // Sorted run files per partition, in the order they were written.
-  std::vector<std::vector<std::string>> run_paths(input.parts.size());
-  std::string record;
-  auto spill_rows = [&](std::vector<Keyed>* rows,
-                        std::vector<std::string>* paths,
-                        uint64_t* charged) -> Status {
-    std::stable_sort(rows->begin(), rows->end(), compare);
+  // One partition task's sorted rows and runs, spilled through its own
+  // SpillManager.
+  struct SortTask {
+    std::vector<Keyed> rows;        // the sorted in-memory remainder
+    std::vector<std::string> runs;  // sorted run files, in write order
+    std::unique_ptr<SpillManager> spill;
+    std::vector<int> key_classes;
+    uint64_t peak = 0;       // most bytes the task held at once
+    uint64_t resident = 0;   // bytes of its in-memory remainder
+  };
+  auto spill_rows = [&](SortTask* task) -> Status {
+    std::stable_sort(task->rows.begin(), task->rows.end(), compare);
     JPAR_ASSIGN_OR_RETURN(std::unique_ptr<SpillRunWriter> writer,
-                          spill_mgr->NewRun());
+                          task->spill->NewRun());
+    std::string record;
     uint64_t n = 0;
-    for (const Keyed& k : *rows) {
+    for (const Keyed& k : task->rows) {
       if (++n % kCheckIntervalTuples == 0) {
         JPAR_RETURN_NOT_OK(Interrupted("sort spill"));
       }
@@ -1562,54 +1645,77 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
       JPAR_RETURN_NOT_OK(writer->Append(record));
     }
     JPAR_RETURN_NOT_OK(writer->Finish());
-    paths->push_back(writer->path());
-    rows->clear();
-    memory.Release(*charged);
-    *charged = 0;
+    task->runs.push_back(writer->path());
+    task->rows.clear();
     return Status::OK();
   };
 
-  for (size_t p = 0; p < input.parts.size(); ++p) {
-    JPAR_RETURN_NOT_OK(Interrupted("sort"));
-    auto start = Clock::now();
-    std::vector<Keyed>& rows = sorted[p];
-    uint64_t keyed_rows = 0;
-    uint64_t charged = 0;
-    for (Tuple& t : input.parts[p]) {
-      if (++keyed_rows % kCheckIntervalTuples == 0) {
+  std::vector<SortTask> tasks(pcount);
+  JPAR_RETURN_NOT_OK(RunPartitionTasks(
+      pcount, options_.use_threads, [&](size_t p) -> Status {
         JPAR_RETURN_NOT_OK(Interrupted("sort"));
-      }
-      Keyed k;
-      for (const ScalarEvalPtr& key : node.sort_keys) {
-        JPAR_ASSIGN_OR_RETURN(Item v, key->Eval(t, &ctx));
-        k.keys.push_back(std::move(v));
-      }
-      // Validate comparability up front so the sort comparator cannot
-      // fail (empty sequences sort first and skip validation).
-      for (size_t i = 0; i < k.keys.size(); ++i) {
-        if (k.keys[i].SequenceLength() == 0) continue;
-        int cls = kind_class(k.keys[i]);
-        if (key_classes[i] == INT_MIN) {
-          key_classes[i] = cls;
-        } else if (key_classes[i] != cls) {
-          return Status::TypeError(
-              "order by key mixes incomparable types");
+        auto start = Clock::now();
+        SortTask& task = tasks[p];
+        task.key_classes.assign(node.sort_keys.size(), INT_MIN);
+        JPAR_ASSIGN_OR_RETURN(task.spill, MaybeSpillManager(options_, ctx_));
+        EvalContext ctx;
+        ctx.catalog = catalog_;
+        uint64_t keyed_rows = 0;
+        uint64_t charged = 0;
+        for (Tuple& t : input.parts[p]) {
+          if (++keyed_rows % kCheckIntervalTuples == 0) {
+            JPAR_RETURN_NOT_OK(Interrupted("sort"));
+          }
+          Keyed k;
+          for (const ScalarEvalPtr& key : node.sort_keys) {
+            JPAR_ASSIGN_OR_RETURN(Item v, key->Eval(t, &ctx));
+            k.keys.push_back(std::move(v));
+          }
+          // Validate comparability up front so the sort comparator
+          // cannot fail (empty sequences sort first and skip
+          // validation); classes must also agree across tasks, which is
+          // checked once all have run.
+          for (size_t i = 0; i < k.keys.size(); ++i) {
+            if (k.keys[i].SequenceLength() == 0) continue;
+            if (!note_class(&task.key_classes, i, kind_class(k.keys[i]))) {
+              return Status::TypeError(
+                  "order by key mixes incomparable types");
+            }
+          }
+          k.row = std::move(t);
+          if (spilling) {
+            charged += TupleSizeBytes(k.keys) + TupleSizeBytes(k.row);
+            task.peak = std::max(task.peak, charged);
+          }
+          task.rows.push_back(std::move(k));
+          if (spilling && charged > budget) {
+            JPAR_RETURN_NOT_OK(spill_rows(&task));
+            charged = 0;
+          }
         }
-      }
-      k.row = std::move(t);
-      if (spilling) {
-        uint64_t bytes = TupleSizeBytes(k.keys) + TupleSizeBytes(k.row);
-        JPAR_RETURN_NOT_OK(memory.Allocate(bytes));
-        charged += bytes;
-      }
-      rows.push_back(std::move(k));
-      if (spilling && charged > budget) {
-        JPAR_RETURN_NOT_OK(spill_rows(&rows, &run_paths[p], &charged));
+        std::vector<Tuple>().swap(input.parts[p]);
+        std::stable_sort(task.rows.begin(), task.rows.end(), compare);
+        task.resident = charged;
+        stage.partition_ms[p] = ElapsedMs(start);
+        return Status::OK();
+      }));
+
+  // Fold the tasks in partition order. The reported peak is the
+  // sequential schedule's: every finished partition's remainder stays
+  // resident until the merge while the next one sorts, so the figure
+  // does not depend on how the tasks interleaved.
+  std::vector<int> key_classes(node.sort_keys.size(), INT_MIN);
+  uint64_t peak = 0;
+  uint64_t resident = 0;
+  for (const SortTask& task : tasks) {
+    for (size_t i = 0; i < key_classes.size(); ++i) {
+      const int cls = task.key_classes[i];
+      if (cls != INT_MIN && !note_class(&key_classes, i, cls)) {
+        return Status::TypeError("order by key mixes incomparable types");
       }
     }
-    input.parts[p].clear();
-    std::stable_sort(rows.begin(), rows.end(), compare);
-    stage.partition_ms[p] = ElapsedMs(start);
+    peak = std::max(peak, resident + task.peak);
+    resident += task.resident;
   }
 
   // Merge phase (the gather exchange): k-way merge into one partition.
@@ -1619,19 +1725,21 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
   auto merge_start = Clock::now();
   struct SortSource {
     std::unique_ptr<SpillRunReader> reader;  // null for in-memory rows
+    SpillManager* spill = nullptr;           // the reader's manager
     std::string path;
     std::vector<Keyed>* mem = nullptr;
     size_t pos = 0;
     Keyed head;
     bool has_head = false;
   };
+  std::string record;
   auto advance = [&](SortSource* s) -> Status {
     if (s->reader != nullptr) {
       JPAR_ASSIGN_OR_RETURN(bool more, s->reader->Next(&record));
       if (!more) {
         s->has_head = false;
         s->reader.reset();
-        spill_mgr->Remove(s->path);
+        s->spill->Remove(s->path);
         return Status::OK();
       }
       ItemReader item_reader(record);
@@ -1649,15 +1757,16 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
     return Status::OK();
   };
   std::vector<SortSource> sources;
-  for (size_t p = 0; p < sorted.size(); ++p) {
-    for (const std::string& path : run_paths[p]) {
+  for (SortTask& task : tasks) {
+    for (const std::string& path : task.runs) {
       SortSource s;
-      JPAR_ASSIGN_OR_RETURN(s.reader, spill_mgr->OpenRun(path));
+      JPAR_ASSIGN_OR_RETURN(s.reader, task.spill->OpenRun(path));
+      s.spill = task.spill.get();
       s.path = path;
       sources.push_back(std::move(s));
     }
     SortSource s;
-    s.mem = &sorted[p];
+    s.mem = &task.rows;
     sources.push_back(std::move(s));
   }
   for (SortSource& s : sources) {
@@ -1687,8 +1796,11 @@ Result<Executor::PartitionSet> Executor::ExecSort(const PNode& node,
   stage.exchange_ms += ElapsedMs(merge_start);
   // Sort memory is tracked only for spill budgeting; without spilling
   // it stays out of peak_retained_bytes.
-  if (spill_mgr != nullptr) {
-    NoteOperatorStats(memory, spill_mgr.get(), 0, stats);
+  if (spill_enabled) {
+    NoteOperatorStats(peak, nullptr, 0, stats);
+    for (const SortTask& task : tasks) {
+      NoteOperatorStats(0, task.spill.get(), 0, stats);
+    }
   }
   stats->Merge(stage);
   return output;
@@ -1745,7 +1857,7 @@ Result<std::vector<Tuple>> Executor::GroupByFragment(
   JPAR_RETURN_NOT_OK(GroupByPartition(node, step, input, nullptr, &memory,
                                       spill_mgr.get(), memory.ShareOf(1),
                                       &merge_passes, &out));
-  NoteOperatorStats(memory, spill_mgr.get(), merge_passes, stats);
+  NoteOperatorStats(memory.peak_bytes(), spill_mgr.get(), merge_passes, stats);
   stage.partition_ms.assign(1, ElapsedMs(start));
   stats->Merge(stage);
   return out;
@@ -1761,7 +1873,7 @@ Result<std::vector<Tuple>> Executor::JoinPartition(
   auto start = Clock::now();
   std::vector<Tuple> out;
   JPAR_RETURN_NOT_OK(JoinOnePartition(node, left, right, &memory, &out));
-  NoteOperatorStats(memory, nullptr, 0, stats);
+  NoteOperatorStats(memory.peak_bytes(), nullptr, 0, stats);
   stage.partition_ms.assign(1, ElapsedMs(start));
   stats->Merge(stage);
   return out;
@@ -1914,14 +2026,16 @@ Result<QueryOutput> Executor::Run(const PhysicalPlan& plan) const {
   JPAR_RETURN_NOT_OK(Interrupted("startup"));
   auto start = Clock::now();
   QueryOutput out;
-  JPAR_ASSIGN_OR_RETURN(PartitionSet result, Exec(*plan.root, &out.stats));
-  for (const std::vector<Tuple>& part : result.parts) {
-    for (const Tuple& tuple : part) {
-      if (plan.result_column < 0 ||
-          static_cast<size_t>(plan.result_column) >= tuple.size()) {
-        return Status::Internal("result column out of range");
+  {
+    JPAR_ASSIGN_OR_RETURN(PartitionSet result, Exec(*plan.root, &out.stats));
+    for (const std::vector<Tuple>& part : result.parts) {
+      for (const Tuple& tuple : part) {
+        if (plan.result_column < 0 ||
+            static_cast<size_t>(plan.result_column) >= tuple.size()) {
+          return Status::Internal("result column out of range");
+        }
+        out.items.push_back(tuple[static_cast<size_t>(plan.result_column)]);
       }
-      out.items.push_back(tuple[static_cast<size_t>(plan.result_column)]);
     }
   }
   out.stats.result_rows = out.items.size();
@@ -1941,6 +2055,13 @@ Result<QueryOutput> Executor::Run(const PhysicalPlan& plan) const {
     }
   }
   out.stats.makespan_ms = makespan;
+#if defined(__GLIBC__)
+  // Threaded stages free their partitions on worker threads, and glibc
+  // keeps the freed pages in each thread's arena. Handing them back once
+  // per query keeps a long-lived process from holding every arena's
+  // high-water mark (DESIGN.md §10).
+  if (options_.use_threads && options_.partitions > 1) malloc_trim(0);
+#endif
   return out;
 }
 

@@ -171,11 +171,14 @@ struct ExecOptions {
   /// Directory for temp run files; empty = the system temp directory.
   /// Must exist and be writable when spilling is enabled.
   std::string spill_dir;
-  /// Run partition tasks on real threads (DATASCANs as a morsel-driven
-  /// worker pool). Off by default: partitions then run one after
-  /// another, so each partition's time is measured undisturbed for the
-  /// makespan model. On a multi-core host (the reference machine has 4
-  /// cores) turning it on buys real wall-clock parallelism.
+  /// Run every stage's partition tasks on real threads: DATASCANs as a
+  /// morsel-driven worker pool, and the pipelines, exchange senders and
+  /// receivers, group-by, join and sort partitions as one thread per
+  /// partition. Answers and counters are the same either way. Off by
+  /// default: partitions then run one after another, so each
+  /// partition's time is measured undisturbed for the makespan model.
+  /// On the 4-core reference host, turning it on is what buys real
+  /// wall-clock speed-up.
   bool use_threads = false;
   /// Simulated interconnect for cross-node exchange bytes.
   double network_gbps = 1.0;
@@ -354,10 +357,10 @@ class Executor {
   Result<PartitionSet> ExecSort(const PNode& node, ExecStats* stats) const;
 
   // ---- Per-partition operator bodies ---------------------------------
-  // Shared by the in-process operators (one call per partition) and the
-  // fragment API (one call per worker fragment). Each charges the
-  // caller's MemoryTracker; releasing it between partitions is the
-  // caller's policy.
+  // Shared by the in-process operators (one call per partition task)
+  // and the fragment API (one call per worker fragment). Each charges
+  // the MemoryTracker its caller passes; which tasks share a tracker is
+  // the caller's policy (DESIGN.md §10).
 
   /// Streams `input` through `ops` into `out`.
   Status PipelinePartition(const std::vector<UnaryOpDesc>& ops,
@@ -392,10 +395,22 @@ class Executor {
 
   /// Hash-exchanges `input` into options_.partitions buckets by the
   /// encoded value of `key_evals`; records serde bytes/frames and
-  /// simulated network time into `stage`.
-  Result<PartitionSet> Exchange(const PartitionSet& input,
+  /// simulated network time into `stage`. One sender task per source
+  /// partition encodes (and then frees) its partition; frames are
+  /// routed and tallied serially in (source, destination) order; one
+  /// receiver task per destination decodes its streams in source order.
+  Result<PartitionSet> Exchange(PartitionSet* input,
                                 const std::vector<ScalarEvalPtr>& key_evals,
                                 StageStats* stage, ExecStats* stats) const;
+  /// One group-by step over every partition of `input` as partition
+  /// tasks, each freeing its input partition once folded. Each task
+  /// charges its own tracker and spills through its own manager, unless
+  /// `resident` is set: then every task charges that one tracker.
+  Result<PartitionSet> GroupByStage(const PNode& node, AggStep step,
+                                    PartitionSet* input,
+                                    MemoryTracker* resident,
+                                    StageStats* stage,
+                                    ExecStats* stats) const;
 
   int NodeOfPartition(int p) const {
     return p / (options_.partitions_per_node > 0

@@ -18,8 +18,9 @@ struct StageStats {
   /// others; the makespan model LPT-schedules them onto the modeled
   /// cores.
   std::vector<double> partition_ms;
-  /// Total time spent serializing/deserializing and routing exchange
-  /// frames (single-host wall clock; kept for reference).
+  /// Real wall-clock time of the stage's exchange: sender tasks, serial
+  /// routing and receiver tasks (threaded under use_threads); for a
+  /// sort, its gather merge.
   double exchange_ms = 0;
   /// Per-task exchange times for the makespan model: one vector per
   /// exchange phase (sender-side encode tasks, receiver-side decode
