@@ -10,7 +10,13 @@
 //      real time / t-thread real time), printed with the host's core
 //      count. Beside it, per-morsel times measured sequentially are
 //      LPT-scheduled onto min(threads, nproc) modeled cores, so the
-//      model cannot claim more speedup than the host has cores.
+//      model cannot claim more speedup than the host has cores. Each
+//      worker's CPU time (CLOCK_THREAD_CPUTIME_ID) is printed beside the
+//      wall clock, with cpu_utilization = sum of thread CPU / (wall x
+//      threads). A real speedup near 1 with utilization near 1/threads
+//      means the workers ran one at a time (the host gave them no
+//      parallel CPU, or they blocked on each other); with utilization
+//      near 1, each worker did more CPU work than its share.
 //
 // Besides the stdout tables it writes BENCH_scan_throughput.json to
 // the current directory (run_benches.sh runs from the repo root) so
@@ -20,7 +26,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <queue>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -153,31 +161,69 @@ double LptMakespan(std::vector<double> tasks, int cores) {
   return makespan;
 }
 
+/// CPU time consumed so far by the calling thread.
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/// One threaded scan: its wall clock and each worker's CPU time.
+struct ThreadedRun {
+  double wall = 0;
+  std::vector<double> thread_cpu;
+
+  /// Sum of thread CPU over (wall x threads): 1.0 when every worker ran
+  /// on its own core for the whole wall time.
+  double CpuUtilization() const {
+    double sum = 0;
+    for (double c : thread_cpu) sum += c;
+    return sum / (wall * static_cast<double>(thread_cpu.size()));
+  }
+};
+
 /// Real threaded wall-clock, best of Repeats(): workers pull morsels
 /// off an atomic queue, exactly like Executor::ExecDataScanMorsels.
-double ThreadedWallClock(const std::string& text,
-                         const std::vector<std::pair<size_t, size_t>>& morsels,
-                         const std::vector<PathStep>& steps, int threads) {
-  double best = 0;
+ThreadedRun ThreadedWallClock(
+    const std::string& text,
+    const std::vector<std::pair<size_t, size_t>>& morsels,
+    const std::vector<PathStep>& steps, int threads) {
+  ThreadedRun best;
   for (int rep = 0; rep < Repeats(); ++rep) {
     std::atomic<size_t> next{0};
+    ThreadedRun run;
+    run.thread_cpu.assign(static_cast<size_t>(threads), 0.0);
     Clock::time_point t0 = Clock::now();
     std::vector<std::thread> pool;
     pool.reserve(static_cast<size_t>(threads));
     for (int w = 0; w < threads; ++w) {
-      pool.emplace_back([&] {
+      pool.emplace_back([&, w] {
+        double cpu0 = ThreadCpuSeconds();
         while (true) {
           size_t t = next.fetch_add(1);
           if (t >= morsels.size()) break;
           ScanRange(text, morsels[t].first, morsels[t].second, steps);
         }
+        run.thread_cpu[static_cast<size_t>(w)] = ThreadCpuSeconds() - cpu0;
       });
     }
     for (std::thread& th : pool) th.join();
-    double secs = Seconds(t0, Clock::now());
-    if (rep == 0 || secs < best) best = secs;
+    run.wall = Seconds(t0, Clock::now());
+    if (rep == 0 || run.wall < best.wall) best = std::move(run);
   }
   return best;
+}
+
+/// "a/b/c" of the per-thread CPU seconds, for the table.
+std::string JoinCpu(const std::vector<double>& cpu) {
+  std::string out;
+  char buf[32];
+  for (size_t i = 0; i < cpu.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%s%.3f", i ? "/" : "", cpu[i]);
+    out += buf;
+  }
+  return out;
 }
 
 void Run() {
@@ -236,22 +282,28 @@ void Run() {
   double base = LptMakespan(task_times, 1);
   std::printf("\nnproc: %d\n", nproc);
   PrintTableHeader("Morsel scaling (real wall clock; LPT model beside it)",
-                   {"threads", "real wall s", "real speedup",
-                    "modeled GB/s", "modeled speedup"});
+                   {"threads", "real wall s", "cpu util", "real speedup",
+                    "modeled GB/s", "modeled speedup", "thread CPU s"});
   std::vector<double> morsel_gbps, morsel_speedup, morsel_real,
-      real_speedup;
+      real_speedup, cpu_utilization;
+  std::vector<std::vector<double>> thread_cpu;
   for (int t : kThreads) {
     // The model gets no more cores than the host has.
     double makespan = LptMakespan(task_times, std::min(t, nproc));
     double gbps = gb / makespan;
-    double real = ThreadedWallClock(corpus, morsels, skip_heavy, t);
+    ThreadedRun real = ThreadedWallClock(corpus, morsels, skip_heavy, t);
     morsel_gbps.push_back(gbps);
     morsel_speedup.push_back(base / makespan);
-    morsel_real.push_back(real);
-    real_speedup.push_back(morsel_real.front() / real);
-    PrintTableRow({std::to_string(t), std::to_string(real),
+    morsel_real.push_back(real.wall);
+    real_speedup.push_back(morsel_real.front() / real.wall);
+    cpu_utilization.push_back(real.CpuUtilization());
+    thread_cpu.push_back(real.thread_cpu);
+    // The per-thread list is last: it is wider than a table column.
+    PrintTableRow({std::to_string(t), std::to_string(real.wall),
+                   std::to_string(cpu_utilization.back()),
                    std::to_string(real_speedup.back()), std::to_string(gbps),
-                   std::to_string(base / makespan)});
+                   std::to_string(base / makespan),
+                   JoinCpu(real.thread_cpu)});
   }
   std::printf("real speedup at %d threads on %d cores: %.2fx\n",
               kThreads[2], nproc, real_speedup[2]);
@@ -295,6 +347,18 @@ void Run() {
   std::fprintf(out, "],\n    \"real_speedup\": [");
   for (size_t i = 0; i < real_speedup.size(); ++i) {
     std::fprintf(out, "%s%.3f", i ? ", " : "", real_speedup[i]);
+  }
+  std::fprintf(out, "],\n    \"thread_cpu_seconds\": [");
+  for (size_t i = 0; i < thread_cpu.size(); ++i) {
+    std::fprintf(out, "%s[", i ? ", " : "");
+    for (size_t w = 0; w < thread_cpu[i].size(); ++w) {
+      std::fprintf(out, "%s%.4f", w ? ", " : "", thread_cpu[i][w]);
+    }
+    std::fprintf(out, "]");
+  }
+  std::fprintf(out, "],\n    \"cpu_utilization\": [");
+  for (size_t i = 0; i < cpu_utilization.size(); ++i) {
+    std::fprintf(out, "%s%.3f", i ? ", " : "", cpu_utilization[i]);
   }
   std::fprintf(out, "]\n  }\n}\n");
   std::fclose(out);

@@ -69,6 +69,43 @@ void ItemWriter::Write(const Item& item) {
   }
 }
 
+size_t ItemWriter::EncodedSize(const Item& item) {
+  constexpr size_t kTag = 1;
+  switch (item.kind()) {
+    case ItemKind::kNull:
+      return kTag;
+    case ItemKind::kBoolean:
+      return kTag + 1;
+    case ItemKind::kInt64:
+      return kTag + VarintSize(ZigZag(item.int64_value()));
+    case ItemKind::kDouble:
+      return kTag + sizeof(double);
+    case ItemKind::kString: {
+      size_t len = item.string_value().size();
+      return kTag + VarintSize(len) + len;
+    }
+    case ItemKind::kDateTime:
+      return kTag + sizeof(int32_t) + 5;
+    case ItemKind::kArray:
+    case ItemKind::kSequence: {
+      const Item::ItemVector& elems =
+          item.is_array() ? item.array() : item.sequence();
+      size_t total = kTag + VarintSize(elems.size());
+      for (const Item& e : elems) total += EncodedSize(e);
+      return total;
+    }
+    case ItemKind::kObject: {
+      const Item::Object& fields = item.object();
+      size_t total = kTag + VarintSize(fields.size());
+      for (const Item::Field& f : fields) {
+        total += VarintSize(f.key.size()) + f.key.size() + EncodedSize(f.value);
+      }
+      return total;
+    }
+  }
+  return kTag;
+}
+
 Result<uint64_t> ItemReader::ReadVarint() {
   uint64_t v = 0;
   int shift = 0;

@@ -290,7 +290,7 @@ std::ostream& operator<<(std::ostream& os, const Item& item) {
 }
 
 size_t Item::EstimateSizeBytes() const {
-  size_t base = sizeof(Item);
+  size_t base = kAccountingBytes;
   switch (kind_) {
     case ItemKind::kString:
       return base + string_value().size();

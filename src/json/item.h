@@ -35,9 +35,14 @@ std::string_view ItemKindToString(ItemKind kind);
 
 struct ObjectField;  // defined below Item (needs the complete type)
 
-/// An immutable JSON/JSONiq value. Scalars are stored inline; arrays,
+/// An immutable JSON/JSONiq value. Scalars and strings of at most
+/// kInlineStringCapacity bytes are stored inline; longer strings, arrays,
 /// objects, and sequences share their payload via shared_ptr, making Item
 /// cheap to copy (the engine copies items between tuples constantly).
+/// Inline strings keep the common short values (dates, codes, ids) off
+/// the heap: no allocation when a scan builds them, and no atomic
+/// refcount or cross-thread free when another partition's thread copies
+/// or drops them.
 ///
 /// Arrays and sequences share a storage representation (a vector of
 /// items) and are distinguished by kind(): an array is a JSON value that
@@ -49,6 +54,16 @@ class Item {
   using Field = ObjectField;
   using Object = std::vector<ObjectField>;
 
+  /// Longest string held inline: libstdc++'s small-string capacity, so an
+  /// inline std::string never owns a heap buffer.
+  static constexpr size_t kInlineStringCapacity = 15;
+
+  /// Bytes charged per item by EstimateSizeBytes and the projecting
+  /// reader's bytes_materialized. Fixed rather than sizeof(Item), so
+  /// memory budgets, spill decisions and reported footprints do not move
+  /// when the in-memory layout does.
+  static constexpr size_t kAccountingBytes = 32;
+
   /// Default-constructed Item is JSON null.
   Item() : kind_(ItemKind::kNull) {}
 
@@ -57,11 +72,19 @@ class Item {
   static Item Int64(int64_t v) { return Item(ItemKind::kInt64, v); }
   static Item Double(double v) { return Item(ItemKind::kDouble, v); }
   static Item String(std::string v) {
+    // A short string is re-made from its bytes so that it is inline even
+    // when `v` had reserved a heap buffer.
+    if (v.size() <= kInlineStringCapacity) return String(std::string_view(v));
     return Item(ItemKind::kString,
                 std::make_shared<const std::string>(std::move(v)));
   }
-  static Item String(std::string_view v) { return String(std::string(v)); }
-  static Item String(const char* v) { return String(std::string(v)); }
+  static Item String(std::string_view v) {
+    if (v.size() <= kInlineStringCapacity) {
+      return Item(ItemKind::kString, std::string(v));
+    }
+    return Item(ItemKind::kString, std::make_shared<const std::string>(v));
+  }
+  static Item String(const char* v) { return String(std::string_view(v)); }
   static Item DateTime(DateTimeValue v) { return Item(ItemKind::kDateTime, v); }
   static Item MakeArray(ItemVector elems) {
     return Item(ItemKind::kArray,
@@ -101,6 +124,9 @@ class Item {
     return std::get<DateTimeValue>(value_);
   }
   const std::string& string_value() const {
+    if (const auto* inline_str = std::get_if<std::string>(&value_)) {
+      return *inline_str;
+    }
     return *std::get<std::shared_ptr<const std::string>>(value_);
   }
   const ItemVector& array() const { return items_payload(); }
@@ -156,9 +182,11 @@ class Item {
   void AppendGroupKeyTo(std::string* out) const;
 
  private:
+  // std::string holds strings of at most kInlineStringCapacity bytes
+  // (always in its small-string buffer); longer ones are shared.
   using Storage =
       std::variant<std::monostate, bool, int64_t, double, DateTimeValue,
-                   std::shared_ptr<const std::string>,
+                   std::string, std::shared_ptr<const std::string>,
                    std::shared_ptr<const ItemVector>,
                    std::shared_ptr<const Object>>;
 

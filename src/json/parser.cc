@@ -3,12 +3,39 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
 namespace jpar {
 
 namespace {
 
 bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+/// The entries one open container owns on a ParseValue scratch stack:
+/// everything above the mark taken at construction. The destructor
+/// truncates back to the mark, so an error return leaves no stale
+/// entries for the next value. Indices, not iterators: nested values
+/// push onto the same stack and may reallocate it.
+template <typename T>
+class ScratchFrame {
+ public:
+  explicit ScratchFrame(std::vector<T>* stack)
+      : stack_(stack), mark_(stack->size()) {}
+  ScratchFrame(const ScratchFrame&) = delete;
+  ScratchFrame& operator=(const ScratchFrame&) = delete;
+  ~ScratchFrame() { stack_->erase(stack_->begin() + mark_, stack_->end()); }
+
+  /// Moves this frame's entries into a vector of exactly their count.
+  std::vector<T> Take() {
+    return std::vector<T>(
+        std::make_move_iterator(stack_->begin() + mark_),
+        std::make_move_iterator(stack_->end()));
+  }
+
+ private:
+  std::vector<T>* stack_;
+  size_t mark_;
+};
 
 }  // namespace
 
@@ -177,34 +204,34 @@ Result<Item> JsonCursor::ParseValue(int depth) {
   switch (c) {
     case '{': {
       ++pos_;
-      Item::Object fields;
+      ScratchFrame<ObjectField> fields(&field_stack_);
       SkipWhitespace();
-      if (Consume('}')) return Item::MakeObject(std::move(fields));
+      if (Consume('}')) return Item::MakeObject({});
       while (true) {
         JPAR_ASSIGN_OR_RETURN(std::string key, ParseString());
         JPAR_RETURN_NOT_OK(Expect(':'));
         JPAR_ASSIGN_OR_RETURN(Item value, ParseValue(depth + 1));
-        fields.push_back({std::move(key), std::move(value)});
+        field_stack_.push_back({std::move(key), std::move(value)});
         SkipWhitespace();
         if (Consume(',')) {
           SkipWhitespace();
           continue;
         }
-        if (Consume('}')) return Item::MakeObject(std::move(fields));
+        if (Consume('}')) return Item::MakeObject(fields.Take());
         return ErrorHere("expected ',' or '}' in object");
       }
     }
     case '[': {
       ++pos_;
-      Item::ItemVector elems;
+      ScratchFrame<Item> members(&member_stack_);
       SkipWhitespace();
-      if (Consume(']')) return Item::MakeArray(std::move(elems));
+      if (Consume(']')) return Item::MakeArray({});
       while (true) {
         JPAR_ASSIGN_OR_RETURN(Item value, ParseValue(depth + 1));
-        elems.push_back(std::move(value));
+        member_stack_.push_back(std::move(value));
         SkipWhitespace();
         if (Consume(',')) continue;
-        if (Consume(']')) return Item::MakeArray(std::move(elems));
+        if (Consume(']')) return Item::MakeArray(members.Take());
         return ErrorHere("expected ',' or ']' in array");
       }
     }

@@ -2,6 +2,7 @@
 #define JPAR_JSON_PARSER_H_
 
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "json/item.h"
@@ -39,7 +40,21 @@ class JsonCursor {
              size_t index_offset = 0)
       : text_(text), index_(index), index_offset_(index_offset) {}
 
-  /// Parses one JSON value at the cursor into a DOM Item.
+  /// Re-points the cursor at `text` (position 0) with a new index
+  /// origin, keeping the scratch stacks' capacity. The lenient stream
+  /// reader restarts once per record and reuses one cursor.
+  void Reset(std::string_view text, const StructuralIndex* index,
+             size_t index_offset) {
+    text_ = text;
+    pos_ = 0;
+    index_ = index;
+    index_offset_ = index_offset;
+  }
+
+  /// Parses one JSON value at the cursor into a DOM Item. Fields and
+  /// members are gathered on the cursor's scratch stacks and each
+  /// finished object or array is moved into a vector of exactly its
+  /// size: one allocation per container instead of one per growth step.
   Result<Item> ParseValue(int depth = 0);
 
   /// Skips one JSON value without materializing it. This is what makes
@@ -85,6 +100,12 @@ class JsonCursor {
   size_t pos_ = 0;
   const StructuralIndex* index_ = nullptr;  // not owned; null = scalar
   size_t index_offset_ = 0;
+
+  /// Scratch stacks of ParseValue: each open object (array) owns the
+  /// entries above the mark it took on entry, and every exit — success
+  /// or error — truncates the stack back to that mark.
+  std::vector<ObjectField> field_stack_;
+  std::vector<Item> member_stack_;
 };
 
 }  // namespace jpar

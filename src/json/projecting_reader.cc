@@ -140,7 +140,7 @@ class Projector {
       if (step + 1 == steps_.size()) {
         if (stats_ != nullptr) {
           ++stats_->items_emitted;
-          stats_->bytes_materialized += sizeof(Item) + k.size();
+          stats_->bytes_materialized += Item::kAccountingBytes + k.size();
         }
         JPAR_RETURN_NOT_OK(sink_(Item::String(std::move(k))));
       }
@@ -243,7 +243,8 @@ Status ProjectJsonStreamWithIndex(std::string_view text,
     return Status::OK();
   }
 
-  // Lenient mode: each record gets a fresh cursor so a parse failure
+  // Lenient mode: each record restarts the cursor (one cursor, so its
+  // parse scratch keeps its capacity across records) so a parse failure
   // leaves a well-defined resync position: the first raw newline at or
   // after the *start* of the failed record. Resyncing from the record
   // start (not the error position) is what keeps the two scan modes in
@@ -258,15 +259,15 @@ Status ProjectJsonStreamWithIndex(std::string_view text,
   // state. When that happens (detected via InString at the resync
   // point) the index is rebuilt over the remaining suffix, so both
   // modes recover identically.
+  JsonCursor cursor(std::string_view{});
   size_t offset = 0;
   while (offset < text.size()) {
     std::string_view rest = text.substr(offset);
-    JsonCursor cursor =
-        idx != nullptr
-            ? JsonCursor(rest, idx,
-                         static_cast<size_t>(origin +
-                                             static_cast<int64_t>(offset)))
-            : JsonCursor(rest);
+    cursor.Reset(rest, idx,
+                 idx != nullptr
+                     ? static_cast<size_t>(origin +
+                                           static_cast<int64_t>(offset))
+                     : 0);
     if (cursor.AtEnd()) break;
     cursor.SkipWhitespace();
     size_t record_start = cursor.position();

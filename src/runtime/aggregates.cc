@@ -107,7 +107,9 @@ class MinMaxAggregator : public Aggregator {
     return best_;
   }
   size_t RetainedBytes() const override {
-    return sizeof(*this) + best_.EstimateSizeBytes();
+    // The aggregator itself, with best_ at Item::kAccountingBytes.
+    return sizeof(*this) - sizeof(Item) + Item::kAccountingBytes +
+           best_.EstimateSizeBytes();
   }
 
   Result<Item> SavePartial() const override {

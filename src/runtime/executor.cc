@@ -163,8 +163,8 @@ class BatchPipe {
   Status Emit(TupleBatch& b) {
     for (uint32_t row : b.selection()) {
       Tuple t = b.MaterializeRow(row);
-      ctx_->frame_scratch.clear();
-      size_t encoded = AppendTupleTo(t, &ctx_->frame_scratch);
+      // The boundary counters need only the frame size, not the bytes.
+      size_t encoded = EncodedTupleSize(t);
       ctx_->boundary_bytes += encoded;
       ++ctx_->boundary_tuples;
       if (encoded > ctx_->max_tuple_bytes) ctx_->max_tuple_bytes = encoded;

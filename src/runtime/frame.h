@@ -23,6 +23,10 @@ struct Frame {
 /// Serializes `tuple` and appends it to `out`; returns the encoded size.
 size_t AppendTupleTo(const Tuple& tuple, std::string* out);
 
+/// The number of bytes AppendTupleTo would write for `tuple`, computed
+/// without encoding it.
+size_t EncodedTupleSize(const Tuple& tuple);
+
 /// Accumulates tuples into frames of approximately `target_bytes`. A
 /// tuple larger than target_bytes produces a dedicated oversized frame —
 /// the situation the paper's pipelining rules are designed to avoid.

@@ -154,7 +154,7 @@ TEST(EngineTest, SensorSelectionQueryQ0) {
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Every result is a measurement on a December 25th, 2003+.
   for (const Item& r : result->items) {
-    const std::string& date = r.GetField("date")->string_value();
+    const std::string date = r.GetField("date")->string_value();
     EXPECT_GE(date.substr(0, 4), "2003");
     EXPECT_EQ(date.substr(4, 4), "1225");
   }

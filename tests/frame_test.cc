@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <vector>
+
 namespace jpar {
 namespace {
 
@@ -100,6 +104,87 @@ TEST(FrameTest, CorruptFrameReportsError) {
   FrameReader reader(frames);
   Tuple t;
   EXPECT_FALSE(reader.Next(&t).ok());
+}
+
+// ---------------------------------------------------------------------
+// EncodedTupleSize must equal what AppendTupleTo writes.
+// ---------------------------------------------------------------------
+
+void ExpectSizeMatchesEncoding(const Tuple& tuple, const std::string& what) {
+  std::string bytes;
+  size_t written = AppendTupleTo(tuple, &bytes);
+  EXPECT_EQ(written, bytes.size()) << what;
+  EXPECT_EQ(EncodedTupleSize(tuple), written) << what;
+}
+
+TEST(EncodedTupleSizeTest, EveryItemKind) {
+  DateTimeValue dt;
+  dt.year = 2003;
+  dt.month = 12;
+  dt.day = 25;
+  const std::vector<Item> items = {
+      Item::Null(),
+      Item::Boolean(true),
+      Item::Int64(-3),
+      Item::Double(2.5),
+      Item::String("inline"),
+      Item::String("a string past the inline limit"),
+      Item::DateTime(dt),
+      Item::MakeArray({Item::Int64(1), Item::String("x")}),
+      Item::MakeObject({{"k", Item::Int64(1)}, {"key2", Item::Null()}}),
+      Item::MakeSequence({Item::Int64(1), Item::Boolean(false)}),
+      Item::EmptySequence(),
+  };
+  for (const Item& item : items) {
+    ExpectSizeMatchesEncoding(MakeTuple({item}),
+                              std::string(ItemKindToString(item.kind())));
+  }
+  ExpectSizeMatchesEncoding(Tuple(items), "all kinds in one tuple");
+  ExpectSizeMatchesEncoding(MakeTuple({}), "empty tuple");
+}
+
+TEST(EncodedTupleSizeTest, ZigZagIntsAroundPowersOfTwo) {
+  for (int k = 0; k < 63; ++k) {
+    const int64_t p = int64_t{1} << k;
+    for (int64_t v : {p - 1, p, p + 1, -p - 1, -p, -p + 1}) {
+      ExpectSizeMatchesEncoding(MakeTuple({Item::Int64(v)}),
+                                std::to_string(v));
+    }
+  }
+  ExpectSizeMatchesEncoding(
+      MakeTuple({Item::Int64(std::numeric_limits<int64_t>::max()),
+                 Item::Int64(std::numeric_limits<int64_t>::min())}),
+      "int64 limits");
+}
+
+TEST(EncodedTupleSizeTest, LengthsAtVarintBoundaries) {
+  for (size_t n : {size_t{127}, size_t{128}, size_t{16383}, size_t{16384}}) {
+    const std::string label = std::to_string(n);
+    ExpectSizeMatchesEncoding(MakeTuple({Item::String(std::string(n, 's'))}),
+                              "string " + label);
+    ExpectSizeMatchesEncoding(
+        MakeTuple({Item::MakeArray(Item::ItemVector(n, Item::Int64(1)))}),
+        "array " + label);
+    Item::Object fields;
+    for (size_t i = 0; i < n; ++i) fields.push_back({"f", Item::Null()});
+    ExpectSizeMatchesEncoding(MakeTuple({Item::MakeObject(std::move(fields))}),
+                              "object " + label);
+    ExpectSizeMatchesEncoding(
+        MakeTuple({Item::MakeObject({{std::string(n, 'k'), Item::Int64(1)}})}),
+        "key " + label);
+    ExpectSizeMatchesEncoding(Tuple(n, Item::Null()), "arity " + label);
+  }
+}
+
+TEST(EncodedTupleSizeTest, NestedSequences) {
+  Item inner = Item::MakeSequence(
+      {Item::MakeArray({Item::String("a"),
+                        Item::MakeObject({{"b", Item::MakeArray({})}})}),
+       Item::Int64(200)});
+  Item outer = Item::MakeArray({inner, Item::MakeSequence({inner, inner})});
+  Item seq = Item::MakeSequence(
+      {outer, Item::MakeObject({{"s", inner}}), Item::EmptySequence()});
+  ExpectSizeMatchesEncoding(MakeTuple({seq, inner, outer}), "nested");
 }
 
 }  // namespace

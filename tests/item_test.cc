@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "json/binary_serde.h"
+
 namespace jpar {
 namespace {
 
@@ -163,6 +170,206 @@ TEST(ItemTest, CopyIsShallowAndCheap) {
   Item big = Item::MakeArray(Item::ItemVector(1000, Item::Int64(7)));
   Item copy = big;
   EXPECT_EQ(&big.array(), &copy.array());  // shared payload
+}
+
+// ---------------------------------------------------------------------
+// String storage: at most Item::kInlineStringCapacity bytes inline, longer
+// strings shared.
+// ---------------------------------------------------------------------
+
+/// True when the string's characters live inside the Item itself.
+bool StoredInline(const Item& item) {
+  const char* chars = item.string_value().data();
+  const char* self = reinterpret_cast<const char*>(&item);
+  return chars >= self && chars < self + sizeof(Item);
+}
+
+TEST(ItemStringTest, InlineUpToFifteenBytes) {
+  Item at_limit = Item::String(std::string(15, 'a'));
+  Item past_limit = Item::String(std::string(16, 'a'));
+  EXPECT_TRUE(StoredInline(at_limit));
+  EXPECT_FALSE(StoredInline(past_limit));
+  EXPECT_EQ(at_limit.string_value(), std::string(15, 'a'));
+  EXPECT_EQ(past_limit.string_value(), std::string(16, 'a'));
+
+  Item empty = Item::String("");
+  EXPECT_TRUE(StoredInline(empty));
+  EXPECT_TRUE(empty.string_value().empty());
+  EXPECT_FALSE(*empty.EffectiveBooleanValue());
+
+  // A short string that had reserved a heap buffer is still inline.
+  std::string reserved = "date";
+  reserved.reserve(200);
+  EXPECT_TRUE(StoredInline(Item::String(std::move(reserved))));
+  EXPECT_TRUE(StoredInline(Item::String(std::string_view("20031225T00:00"))));
+
+  // Long strings share one payload between copies.
+  Item copy = past_limit;
+  EXPECT_EQ(&copy.string_value(), &past_limit.string_value());
+}
+
+TEST(ItemStringTest, EmbeddedNulIsKept) {
+  const std::string short_nul("a\0b", 3);
+  const std::string long_nul("0123456789\0abcdefgh", 20);
+  for (const std::string& text : {short_nul, long_nul}) {
+    Item item = Item::String(text);
+    EXPECT_EQ(item.string_value().size(), text.size());
+    EXPECT_EQ(item.string_value(), text);
+    EXPECT_EQ(item, Item::String(std::string_view(text)));
+    Result<Item> back = DeserializeItem(SerializeItem(item));
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->string_value(), text);
+  }
+  EXPECT_NE(Item::String(short_nul), Item::String(std::string("a", 1)));
+}
+
+/// One Item of each storage form the copy/move tests cross.
+std::vector<std::pair<std::string, std::function<Item()>>> StorageForms() {
+  return {
+      {"inline", [] { return Item::String("short"); }},
+      {"shared", [] { return Item::String("a string past the inline limit"); }},
+      {"object", [] {
+         return Item::MakeObject({{"k", Item::String("v")},
+                                  {"n", Item::Int64(1)}});
+       }},
+      {"int", [] { return Item::Int64(42); }},
+  };
+}
+
+TEST(ItemStringTest, CopyMoveAndAssignAcrossForms) {
+  for (const auto& [from_name, make_from] : StorageForms()) {
+    for (const auto& [to_name, make_to] : StorageForms()) {
+      SCOPED_TRACE(from_name + " -> " + to_name);
+      const Item expected = make_from();
+
+      Item src = make_from();
+      Item copy_constructed(src);
+      EXPECT_EQ(copy_constructed, expected);
+      EXPECT_EQ(src, expected);
+
+      Item copy_assigned = make_to();
+      copy_assigned = src;
+      EXPECT_EQ(copy_assigned, expected);
+      EXPECT_EQ(copy_assigned.kind(), expected.kind());
+      EXPECT_EQ(src, expected);
+
+      Item move_constructed(std::move(copy_constructed));
+      EXPECT_EQ(move_constructed, expected);
+
+      Item move_assigned = make_to();
+      move_assigned = std::move(move_constructed);
+      EXPECT_EQ(move_assigned, expected);
+      EXPECT_EQ(move_assigned.ToJsonString(), expected.ToJsonString());
+
+      // A moved-from Item may be assigned again.
+      move_constructed = make_to();
+      EXPECT_EQ(move_constructed, make_to());
+    }
+  }
+}
+
+TEST(ItemStringTest, OperationsAgreeAcrossTheInlineBoundary) {
+  // The storage form is a function of length, so the two forms of a text
+  // are its inline and shared neighbours: every operation must give what
+  // the plain std::string reference gives, whichever form each side has.
+  const std::vector<std::string> texts = {
+      "",
+      "a",
+      std::string(14, 'x'),
+      std::string(15, 'x'),
+      std::string(16, 'x'),
+      std::string(15, 'x') + "y",
+      std::string(14, 'x') + "y",
+      std::string(40, 'x'),
+      "q\"uote\\slash\n",
+      "q\"uote\\slash\n and more text",
+  };
+  for (const std::string& a : texts) {
+    Item ia = Item::String(a);
+    EXPECT_EQ(StoredInline(ia), a.size() <= Item::kInlineStringCapacity) << a;
+
+    std::string json = "\"";
+    for (char ch : a) {
+      if (ch == '"' || ch == '\\') json.push_back('\\');
+      json += ch == '\n' ? std::string("\\n") : std::string(1, ch);
+    }
+    json += "\"";
+    EXPECT_EQ(ia.ToJsonString(), json);
+
+    std::string key, expected_key;
+    ia.AppendGroupKeyTo(&key);
+    expected_key.push_back(static_cast<char>(ItemKind::kString));
+    expected_key += a;
+    EXPECT_EQ(key, expected_key);
+
+    Result<Item> back = DeserializeItem(SerializeItem(ia));
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, ia);
+    EXPECT_EQ(StoredInline(*back), StoredInline(ia));
+    EXPECT_EQ(SerializeItem(*back), SerializeItem(ia));
+
+    for (const std::string& b : texts) {
+      Item ib = Item::String(b);
+      int c = a.compare(b);
+      int expected = (c > 0) - (c < 0);
+      Result<int> cmp = ia.Compare(ib);
+      ASSERT_TRUE(cmp.ok());
+      EXPECT_EQ(*cmp, expected) << a << " vs " << b;
+      EXPECT_EQ(ia.Equals(ib), a == b) << a << " vs " << b;
+    }
+  }
+}
+
+TEST(ItemStringTest, EstimateSizeBytesIsPinned) {
+  // The accounting size predates inline strings; budgets, spill decisions
+  // and reported footprints depend on these exact numbers.
+  EXPECT_EQ(Item::kAccountingBytes, 32u);
+  EXPECT_EQ(Item().EstimateSizeBytes(), 32u);
+  EXPECT_EQ(Item::Int64(7).EstimateSizeBytes(), 32u);
+  EXPECT_EQ(Item::Double(1.5).EstimateSizeBytes(), 32u);
+  EXPECT_EQ(Item::String("").EstimateSizeBytes(), 32u);
+  EXPECT_EQ(Item::String("x").EstimateSizeBytes(), 33u);
+  EXPECT_EQ(Item::String(std::string(15, 'x')).EstimateSizeBytes(), 47u);
+  EXPECT_EQ(Item::String(std::string(16, 'x')).EstimateSizeBytes(), 48u);
+  EXPECT_EQ(Item::String(std::string(1000, 'x')).EstimateSizeBytes(), 1032u);
+  EXPECT_EQ(Item::MakeArray({Item::Int64(1), Item::String("ab")})
+                .EstimateSizeBytes(),
+            32u + 32u + 34u);
+  EXPECT_EQ(Item::MakeObject({{"date", Item::String("20031225T00:00")},
+                              {"value", Item::Int64(5)}})
+                .EstimateSizeBytes(),
+            32u + (4u + 46u) + (5u + 32u));
+}
+
+TEST(ItemStringTest, ThreadsCopyAndDestroySharedItems) {
+  // Every form an exchange or join hands between partition threads.
+  const Item::ItemVector originals = {
+      Item::String("20031225T00:00"),
+      Item::String("a string long enough to be shared"),
+      Item::MakeObject({{"date", Item::String("20031225T00:00")},
+                        {"station", Item::String("GSW000123")},
+                        {"note", Item::String("shared between threads")}}),
+      Item::MakeArray({Item::String("x"), Item::Int64(3)}),
+  };
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 2000;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&originals, &mismatches, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        Item::ItemVector copies(originals.begin(), originals.end());
+        Item moved = std::move(copies[round % copies.size()]);
+        copies[round % copies.size()] = moved;
+        for (size_t i = 0; i < copies.size(); ++i) {
+          if (copies[i] != originals[i]) ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
+  EXPECT_EQ(originals[1].string_value(), "a string long enough to be shared");
 }
 
 }  // namespace

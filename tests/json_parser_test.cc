@@ -109,5 +109,78 @@ TEST(JsonParserTest, SkipValueMatchesParseExtent) {
   }
 }
 
+// ---------------------------------------------------------------------
+// ParseValue's scratch stacks: nested containers re-enter them, and an
+// error leaves nothing behind for the next value.
+// ---------------------------------------------------------------------
+
+TEST(JsonParserTest, NestedObjectsAndArraysOfObjects) {
+  auto doc = ParseJson(
+      R"({"a": {"b": {"c": 1}, "d": [{"e": 2}, {"f": [3, {"g": 4}]}, []]},)"
+      R"( "h": [[{"i": 5}], {}], "j": 6})");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_EQ(doc->ToJsonString(),
+            R"({"a":{"b":{"c":1},"d":[{"e":2},{"f":[3,{"g":4}]},[]]},)"
+            R"("h":[[{"i":5}],{}],"j":6})");
+  ASSERT_EQ(doc->object().size(), 3u);
+  const Item& a = doc->object()[0].value;
+  ASSERT_EQ(a.object().size(), 2u);
+  EXPECT_EQ(a.object()[0].value.object().size(), 1u);
+  const Item& d = a.object()[1].value;
+  ASSERT_EQ(d.array().size(), 3u);
+  EXPECT_EQ(d.array()[0].object().size(), 1u);
+  EXPECT_EQ(d.array()[1].object()[0].value.array().size(), 2u);
+  EXPECT_TRUE(d.array()[2].array().empty());
+  // Exactly sized: no leftover growth capacity from the scratch stack.
+  EXPECT_EQ(doc->object().capacity(), 3u);
+  EXPECT_EQ(d.array().capacity(), 3u);
+}
+
+TEST(JsonParserTest, StreamDocumentsCarryOnlyTheirOwnFields) {
+  auto docs = ParseJsonStream(
+      "{\"a\": 1, \"b\": {\"c\": [1, {\"d\": 2}]}}\n[{\"x\": 1}, 2]\n"
+      "{\"y\": 3}\n");
+  ASSERT_TRUE(docs.ok()) << docs.status().ToString();
+  ASSERT_EQ(docs->size(), 3u);
+  EXPECT_EQ((*docs)[0].ToJsonString(), R"({"a":1,"b":{"c":[1,{"d":2}]}})");
+  EXPECT_EQ((*docs)[1].ToJsonString(), R"([{"x":1},2])");
+  EXPECT_EQ((*docs)[2].ToJsonString(), R"({"y":3})");
+}
+
+TEST(JsonParserTest, DuplicateKeysKeptInOrder) {
+  auto doc = ParseJson(R"({"k": 1, "j": 2, "k": 3, "j": {"k": 4, "k": 5}})");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const Item::Object& fields = doc->object();
+  ASSERT_EQ(fields.size(), 4u);
+  EXPECT_EQ(fields[0].key, "k");
+  EXPECT_EQ(fields[1].key, "j");
+  EXPECT_EQ(fields[2].key, "k");
+  EXPECT_EQ(fields[3].key, "j");
+  EXPECT_EQ(fields[2].value, Item::Int64(3));
+  EXPECT_EQ(fields[3].value.ToJsonString(), R"({"k":4,"k":5})");
+  // Lookup returns the first occurrence.
+  EXPECT_EQ(*doc->GetField("k"), Item::Int64(1));
+}
+
+TEST(JsonParserTest, ErrorMidObjectLeavesNoScratchBehind) {
+  const char* broken[] = {
+      R"({"a": 1, "b": {"c": [1, {"d": 2}, )",
+      R"({"a": [{"b": 1}, {"c": 2 "d": 3}]})",
+      R"([{"a": 1}, {"b": [1, 2}])",
+      R"({"a": {"b": "unterminated)",
+  };
+  for (const char* text : broken) {
+    JsonCursor cursor(text);
+    EXPECT_FALSE(cursor.ParseValue().ok()) << text;
+    // The same cursor, re-pointed at a valid record, builds objects and
+    // arrays holding exactly that record's fields and members.
+    cursor.Reset(R"({"x": {"y": 1}, "z": [2, {"w": 3}]})", nullptr, 0);
+    auto next = cursor.ParseValue();
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    EXPECT_EQ(next->ToJsonString(), R"({"x":{"y":1},"z":[2,{"w":3}]})")
+        << text;
+  }
+}
+
 }  // namespace
 }  // namespace jpar

@@ -250,6 +250,72 @@ TEST(DegradedScanTest, NonParseSinkErrorsStillAbort) {
   EXPECT_EQ(skipped, 0u);
 }
 
+TEST(DegradedScanTest, RecordFailingMidObjectLeavesNextRecordIntact) {
+  // The second record dies inside nested objects and arrays of objects,
+  // with fields and members on the parse scratch; the third record's
+  // object must carry exactly its own fields, in both scan modes.
+  const char* ndjson =
+      "{\"r\": {\"a\": 1, \"b\": [{\"c\": 2}]}}\n"
+      "{\"r\": {\"x\": 1, \"y\": {\"z\": [1, {\"w\": 3}, {\"v\": }]}}}\n"
+      "{\"r\": {\"c\": 3}}\n";
+  for (ScanMode mode : {ScanMode::kScalar, ScanMode::kIndexed}) {
+    std::vector<Item> items;
+    uint64_t skipped = 0;
+    Status st = ProjectJsonStream(
+        ndjson, {PathStep::Key("r")},
+        [&](Item item) {
+          items.push_back(std::move(item));
+          return Status::OK();
+        },
+        nullptr, &skipped, mode);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(skipped, 1u);
+    ASSERT_EQ(items.size(), 2u);
+    EXPECT_EQ(items[0].ToJsonString(), R"({"a":1,"b":[{"c":2}]})");
+    ASSERT_TRUE(items[1].is_object());
+    EXPECT_EQ(items[1].object().size(), 1u);
+    EXPECT_EQ(items[1].ToJsonString(), R"({"c":3})");
+  }
+}
+
+TEST(ProjectingReaderTest, NestedObjectsAndDuplicateKeysMatchDom) {
+  // Emitted records hold objects inside arrays inside objects, and a
+  // duplicated key; both scan modes must build what the DOM parser does.
+  const char* ndjson =
+      "{\"root\": [{\"k\": 1, \"m\": [{\"n\": {\"o\": [1, {\"p\": 2}]}}],"
+      " \"k\": 2}, {\"q\": []}]}\n"
+      "{\"root\": [{\"s\": {\"t\": [{}, [{\"u\": 3}]]}}]}\n";
+  std::vector<PathStep> steps = {PathStep::Key("root"),
+                                 PathStep::KeysOrMembers()};
+  auto docs = ParseJsonStream(ndjson);
+  ASSERT_TRUE(docs.ok()) << docs.status().ToString();
+  std::vector<Item> expected;
+  for (const Item& doc : *docs) {
+    ASSERT_TRUE(NavigateItemPath(doc, steps, 0, [&](Item item) {
+                  expected.push_back(std::move(item));
+                  return Status::OK();
+                }).ok());
+  }
+  ASSERT_EQ(expected.size(), 3u);
+  ASSERT_EQ(expected[0].object().size(), 3u);
+  for (ScanMode mode : {ScanMode::kScalar, ScanMode::kIndexed}) {
+    std::vector<Item> items;
+    Status st = ProjectJsonStream(
+        ndjson, steps,
+        [&](Item item) {
+          items.push_back(std::move(item));
+          return Status::OK();
+        },
+        nullptr, nullptr, mode);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    ASSERT_EQ(items.size(), expected.size());
+    for (size_t i = 0; i < items.size(); ++i) {
+      EXPECT_EQ(items[i], expected[i]) << i;
+      EXPECT_EQ(items[i].ToJsonString(), expected[i].ToJsonString()) << i;
+    }
+  }
+}
+
 TEST(PathStepTest, ToStringForms) {
   EXPECT_EQ(PathStep::Key("a").ToString(), "(\"a\")");
   EXPECT_EQ(PathStep::Index(3).ToString(), "(3)");
