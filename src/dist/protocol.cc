@@ -212,7 +212,8 @@ void EncodeDoubleVec(const std::vector<double>& v, std::string* out) {
 Status DecodeDoubleVec(PayloadReader* r, std::vector<double>* out) {
   JPAR_ASSIGN_OR_RETURN(uint64_t n, r->Varint());
   out->clear();
-  out->reserve(n);
+  // `n` is untrusted until the doubles are read: cap the reservation.
+  out->reserve(n < 4096 ? n : 4096);
   for (uint64_t i = 0; i < n; ++i) {
     JPAR_ASSIGN_OR_RETURN(double d, r->Double());
     out->push_back(d);
@@ -220,9 +221,24 @@ Status DecodeDoubleVec(PayloadReader* r, std::vector<double>* out) {
   return Status::OK();
 }
 
+/// Registry counters go on the wire as varints (uint64_t) or 8-byte
+/// doubles, picked by the field's type.
+void PutCounter(uint64_t v, std::string* out) { PutVarint(v, out); }
+void PutCounter(double v, std::string* out) { PutDouble(v, out); }
+
+Status ReadCounter(PayloadReader* r, uint64_t* v) {
+  JPAR_ASSIGN_OR_RETURN(*v, r->Varint());
+  return Status::OK();
+}
+Status ReadCounter(PayloadReader* r, double* v) {
+  JPAR_ASSIGN_OR_RETURN(*v, r->Double());
+  return Status::OK();
+}
+
 }  // namespace
 
 void EncodeExecStats(const ExecStats& stats, std::string* out) {
+  auto put = [out](const char*, const auto& v) { PutCounter(v, out); };
   PutVarint(stats.stages.size(), out);
   for (const StageStats& s : stats.stages) {
     PutBytes(s.name, out);
@@ -233,44 +249,18 @@ void EncodeExecStats(const ExecStats& stats, std::string* out) {
       EncodeDoubleVec(phase, out);
     }
     PutDouble(s.network_ms, out);
-    PutVarint(s.exchange_bytes, out);
-    PutVarint(s.exchange_frames, out);
-    PutVarint(s.exchange_tuples, out);
-    PutVarint(s.max_tuple_bytes, out);
-    PutVarint(s.pipeline_bytes, out);
-    PutVarint(s.oversized_frames, out);
+    s.ForEachCounter(put);
   }
   PutDouble(stats.real_ms, out);
   PutDouble(stats.makespan_ms, out);
-  PutDouble(stats.network_ms, out);
-  PutVarint(stats.bytes_scanned, out);
-  PutVarint(stats.items_scanned, out);
-  PutVarint(stats.result_rows, out);
-  PutVarint(stats.peak_retained_bytes, out);
-  PutVarint(stats.skipped_records, out);
-  PutVarint(stats.morsels_scanned, out);
-  PutVarint(stats.spill_runs, out);
-  PutVarint(stats.spill_bytes_written, out);
-  PutVarint(stats.spill_merge_passes, out);
-  PutVarint(stats.dist_workers, out);
-  PutVarint(stats.dist_rounds, out);
-  PutVarint(stats.dist_frames, out);
-  PutVarint(stats.dist_bytes, out);
-  PutVarint(stats.fragment_retries, out);
-  PutVarint(stats.workers_respawned, out);
-  PutVarint(stats.frames_replayed, out);
-  PutVarint(stats.replay_spill_bytes, out);
-  PutDouble(stats.recovery_ms, out);
-  PutVarint(stats.batches_emitted, out);
-  PutVarint(stats.exprs_compiled, out);
-  PutVarint(stats.tape_hits, out);
-  PutVarint(stats.tape_builds, out);
-  PutVarint(stats.columns_read, out);
-  PutVarint(stats.blocks_pruned, out);
-  PutVarint(stats.stats_paths_built, out);
+  stats.ForEachCounter(put);
 }
 
 Status DecodeExecStats(PayloadReader* r, ExecStats* out) {
+  Status st;
+  auto read = [r, &st](const char*, auto& v) {
+    if (st.ok()) st = ReadCounter(r, &v);
+  };
   JPAR_ASSIGN_OR_RETURN(uint64_t nstages, r->Varint());
   out->stages.clear();
   for (uint64_t i = 0; i < nstages; ++i) {
@@ -285,43 +275,14 @@ Status DecodeExecStats(PayloadReader* r, ExecStats* out) {
       s.exchange_task_ms.push_back(std::move(phase));
     }
     JPAR_ASSIGN_OR_RETURN(s.network_ms, r->Double());
-    JPAR_ASSIGN_OR_RETURN(s.exchange_bytes, r->Varint());
-    JPAR_ASSIGN_OR_RETURN(s.exchange_frames, r->Varint());
-    JPAR_ASSIGN_OR_RETURN(s.exchange_tuples, r->Varint());
-    JPAR_ASSIGN_OR_RETURN(s.max_tuple_bytes, r->Varint());
-    JPAR_ASSIGN_OR_RETURN(s.pipeline_bytes, r->Varint());
-    JPAR_ASSIGN_OR_RETURN(s.oversized_frames, r->Varint());
+    s.ForEachCounter(read);
+    JPAR_RETURN_NOT_OK(st);
     out->stages.push_back(std::move(s));
   }
   JPAR_ASSIGN_OR_RETURN(out->real_ms, r->Double());
   JPAR_ASSIGN_OR_RETURN(out->makespan_ms, r->Double());
-  JPAR_ASSIGN_OR_RETURN(out->network_ms, r->Double());
-  JPAR_ASSIGN_OR_RETURN(out->bytes_scanned, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->items_scanned, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->result_rows, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->peak_retained_bytes, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->skipped_records, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->morsels_scanned, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->spill_runs, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->spill_bytes_written, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->spill_merge_passes, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->dist_workers, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->dist_rounds, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->dist_frames, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->dist_bytes, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->fragment_retries, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->workers_respawned, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->frames_replayed, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->replay_spill_bytes, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->recovery_ms, r->Double());
-  JPAR_ASSIGN_OR_RETURN(out->batches_emitted, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->exprs_compiled, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->tape_hits, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->tape_builds, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->columns_read, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->blocks_pruned, r->Varint());
-  JPAR_ASSIGN_OR_RETURN(out->stats_paths_built, r->Varint());
-  return Status::OK();
+  out->ForEachCounter(read);
+  return st;
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,9 @@
 #include "json/structural_index.h"
 
 #include <bit>
-#include <cstdlib>
 #include <cstring>
+
+#include "common/env.h"
 
 #if defined(__x86_64__) && !defined(JPAR_FORCE_SWAR)
 #define JPAR_HAVE_X86_KERNELS 1
@@ -167,7 +168,7 @@ SimdLevel DetectActiveLevel() {
 #if defined(JPAR_FORCE_SWAR)
   return SimdLevel::kSwar;
 #else
-  if (std::getenv("JPAR_DISABLE_SIMD") != nullptr) return SimdLevel::kSwar;
+  if (EnvFlagSet("JPAR_DISABLE_SIMD")) return SimdLevel::kSwar;
 #if defined(JPAR_HAVE_X86_KERNELS)
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
   if (__builtin_cpu_supports("sse2")) return SimdLevel::kSse2;

@@ -26,7 +26,7 @@ const char* SimdLevelName(SimdLevel level);
 
 /// The kernel this process uses by default: the best level the CPU
 /// supports, unless the build was configured with -DJPAR_FORCE_SWAR=ON
-/// or the JPAR_DISABLE_SIMD environment variable is set (both force
+/// or the JPAR_DISABLE_SIMD environment switch is on (both force
 /// kSwar). Decided once, at first call.
 SimdLevel ActiveSimdLevel();
 

@@ -623,16 +623,9 @@ class SpillableGroupTable {
 /// tasks into the query's stats in task order, through MergeStage only.
 struct Executor::TaskStats {
   Status status;
-  uint64_t bytes = 0;           // ExecStats::bytes_scanned
-  uint64_t items = 0;           // ExecStats::items_scanned
-  uint64_t skipped = 0;         // ExecStats::skipped_records
-  uint64_t batches = 0;         // ExecStats::batches_emitted
-  uint64_t morsels = 0;         // ExecStats::morsels_scanned
-  uint64_t tape_hits = 0;
-  uint64_t tape_builds = 0;
-  uint64_t columns_read = 0;
-  uint64_t blocks_pruned = 0;
-  uint64_t stats_built = 0;     // ExecStats::stats_paths_built
+  /// The task's share of the query's registry counters (scan bytes and
+  /// items, batches, morsels, storage-tier and stats activity).
+  ExecCounters counters;
   uint64_t boundary_bytes = 0;  // StageStats::pipeline_bytes
   uint64_t max_tuple = 0;       // StageStats::max_tuple_bytes
 
@@ -643,16 +636,7 @@ struct Executor::TaskStats {
                            ExecStats* stats) {
     for (const TaskStats& t : tasks) {
       JPAR_RETURN_NOT_OK(t.status);
-      stats->bytes_scanned += t.bytes;
-      stats->items_scanned += t.items;
-      stats->skipped_records += t.skipped;
-      stats->batches_emitted += t.batches;
-      stats->morsels_scanned += t.morsels;
-      stats->tape_hits += t.tape_hits;
-      stats->tape_builds += t.tape_builds;
-      stats->columns_read += t.columns_read;
-      stats->blocks_pruned += t.blocks_pruned;
-      stats->stats_paths_built += t.stats_built;
+      stats->Add(t.counters);
       stage->pipeline_bytes += t.boundary_bytes;
       stage->max_tuple_bytes = std::max(stage->max_tuple_bytes, t.max_tuple);
     }
@@ -686,7 +670,7 @@ class Executor::PipelineTask {
       pipe_ = std::make_unique<BatchPipe>(
           &ops, &ctx_, exec.options_.batch_size,
           [&exec]() { return exec.Interrupted("pipeline"); }, out,
-          &stats->batches);
+          &stats->counters.batches_emitted);
     }
   }
   PipelineTask(const PipelineTask&) = delete;
@@ -694,7 +678,7 @@ class Executor::PipelineTask {
 
   /// One scanned item (counts toward items_scanned).
   Status PushItem(Item item) {
-    if (++stats_->items % kCheckIntervalTuples == 0) {
+    if (++stats_->counters.items_scanned % kCheckIntervalTuples == 0) {
       JPAR_RETURN_NOT_OK(exec_.Interrupted("pipeline"));
     }
     if (pipe_ != nullptr) return pipe_->PushItem(std::move(item));
@@ -713,7 +697,7 @@ class Executor::PipelineTask {
   /// Flushes the last batch and records the task's evaluation counters.
   Status Finish() {
     Status st = pipe_ != nullptr ? pipe_->Finish() : Status::OK();
-    stats_->bytes += ctx_.bytes_parsed;
+    stats_->counters.bytes_scanned += ctx_.bytes_parsed;
     stats_->boundary_bytes += ctx_.boundary_bytes;
     stats_->max_tuple = std::max(stats_->max_tuple, ctx_.max_tuple_bytes);
     return st;
@@ -941,7 +925,7 @@ Result<Executor::PartitionSet> Executor::ExecDataScanMorsels(
     }
     bool have_sig = false;
     if (m->column != nullptr) {
-      ++ts->columns_read;
+      ++ts->counters.columns_read;
     } else {
       if (cacheable && storage.tapes &&
           options_.scan_mode == ScanMode::kIndexed) {
@@ -953,7 +937,7 @@ Result<Executor::PartitionSet> Executor::ExecDataScanMorsels(
           m->tape = tape->index;
           m->sig = tape->signature;
           have_sig = true;
-          ++(tape->hit ? ts->tape_hits : ts->tape_builds);
+          ++(tape->hit ? ts->counters.tape_hits : ts->counters.tape_builds);
         }
       }
       if (m->text == nullptr) {
@@ -982,6 +966,7 @@ Result<Executor::PartitionSet> Executor::ExecDataScanMorsels(
   // the morsel samples stats and into a new column when it builds one.
   auto scan_morsel = [&](const Morsel& m, PipelineTask* task, TaskStats* ts,
                          PathStats* sample) -> Status {
+    ExecCounters& counters = ts->counters;
     auto emit = [&](Item item) -> Status {
       if (m.build_stats) sample->Observe(item);
       return task->PushItem(std::move(item));
@@ -989,19 +974,19 @@ Result<Executor::PartitionSet> Executor::ExecDataScanMorsels(
     if (m.file->is_binary()) {
       // Pre-loaded internal-model document: deserialize, then navigate
       // the path steps in memory (no JSON parsing).
-      ts->bytes += m.file->binary()->size();
+      counters.bytes_scanned += m.file->binary()->size();
       JPAR_ASSIGN_OR_RETURN(Item doc, DeserializeItem(*m.file->binary()));
       return NavigateItemPath(doc, scan.steps, 0, emit);
     }
     if (m.column != nullptr) {
-      ts->bytes += m.column->bytes;
-      if (lenient) ts->skipped += m.column->skipped_records;
-      return EmitColumn(*m.column, scan, emit, &ts->blocks_pruned);
+      counters.bytes_scanned += m.column->bytes;
+      if (lenient) counters.skipped_records += m.column->skipped_records;
+      return EmitColumn(*m.column, scan, emit, &counters.blocks_pruned);
     }
     std::string_view view(*m.text);
     view = view.substr(m.begin, m.end - m.begin);
-    ts->bytes += view.size();
-    const uint64_t skipped_before = ts->skipped;
+    counters.bytes_scanned += view.size();
+    const uint64_t skipped_before = counters.skipped_records;
     std::unique_ptr<ColumnBuilder> column;
     if (m.build_column) column = std::make_unique<ColumnBuilder>();
     ProjectionStats pstats;
@@ -1016,11 +1001,12 @@ Result<Executor::PartitionSet> Executor::ExecDataScanMorsels(
           return emit(std::move(item));
         },
         m.build_stats ? &pstats : nullptr,
-        lenient ? &ts->skipped : nullptr, options_.scan_mode));
+        lenient ? &counters.skipped_records : nullptr, options_.scan_mode));
     if (column != nullptr) {
       StorageManager::Instance().PutColumn(
           m.file->path(), scan_path_str,
-          column->Finish(ts->skipped - skipped_before), m.sig, storage_cfg);
+          column->Finish(counters.skipped_records - skipped_before), m.sig,
+          storage_cfg);
     }
     sample->documents = pstats.documents;
     return Status::OK();
@@ -1061,7 +1047,7 @@ Result<Executor::PartitionSet> Executor::ExecDataScanMorsels(
         if (ts.status.ok()) ts.status = scan_morsel(m, &task, &ts, &sample);
         if (ts.status.ok() && m.build_stats) {
           put_stats(m, &sample);
-          ++ts.stats_built;
+          ++ts.counters.stats_paths_built;
         }
       }
       if (ts.status.ok()) ts.status = task.Finish();
@@ -1130,7 +1116,7 @@ Result<Executor::PartitionSet> Executor::ExecDataScanMorsels(
     };
     std::vector<Slot> slots(morsels.size());
     auto run_morsel = [&](const Morsel& m, Slot* slot) {
-      slot->stats.morsels = 1;
+      slot->stats.counters.morsels_scanned = 1;
       slot->stats.status = Interrupted("pipeline scan");
       if (!slot->stats.status.ok()) return;
       PipelineTask task(*this, node.ops, batch_mode, &memory, &slot->out,
@@ -1201,10 +1187,12 @@ Result<Executor::PartitionSet> Executor::ExecDataScanMorsels(
       if (first == file_first[i + 1] || !morsels[first].build_stats) continue;
       PathStats merged;
       for (size_t t = first; t < file_first[i + 1]; ++t) {
-        if (slots[t].stats.morsels > 0) merged.MergeFrom(slots[t].sample);
+        if (slots[t].stats.counters.morsels_scanned > 0) {
+          merged.MergeFrom(slots[t].sample);
+        }
       }
       put_stats(morsels[first], &merged);
-      ++resolved.stats_built;
+      ++resolved.counters.stats_paths_built;
     }
 
     tasks.reserve(slots.size() + 1);

@@ -1,7 +1,8 @@
 #include "runtime/expr_compile.h"
 
-#include <cstdlib>
 #include <utility>
+
+#include "common/env.h"
 
 namespace jpar {
 
@@ -377,10 +378,7 @@ Status EvalExprProgram(const ExprProgram& prog, const TupleBatch& batch,
 }
 
 bool ExprBytecodeDisabledByEnv() {
-  static const bool disabled = [] {
-    const char* v = std::getenv("JPAR_DISABLE_EXPR_BYTECODE");
-    return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-  }();
+  static const bool disabled = EnvFlagSet("JPAR_DISABLE_EXPR_BYTECODE");
   return disabled;
 }
 

@@ -106,8 +106,8 @@ Status EvalExprProgram(const ExprProgram& prog, const TupleBatch& batch,
                        EvalCheck* check, std::vector<Item>* out,
                        std::vector<LaneError>* errors);
 
-/// True when JPAR_DISABLE_EXPR_BYTECODE is set in the environment (any
-/// non-empty value except "0"); checked once per process. With
+/// True when JPAR_DISABLE_EXPR_BYTECODE is set in the environment (per
+/// EnvFlagSet); checked once per process. With
 /// ExprMode::kAuto this forces the legacy tuple-at-a-time tree path.
 bool ExprBytecodeDisabledByEnv();
 

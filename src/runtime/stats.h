@@ -1,11 +1,55 @@
 #ifndef JPAR_RUNTIME_STATS_H_
 #define JPAR_RUNTIME_STATS_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 namespace jpar {
+
+/// How two values of one counter combine when partial measurements
+/// (tasks, fragments, queries) fold into a total.
+enum class CounterMerge { kSum, kMax };
+
+template <CounterMerge kMerge, typename T>
+void MergeCounter(T* into, T value) {
+  if constexpr (kMerge == CounterMerge::kSum) {
+    *into += value;
+  } else {
+    *into = std::max(*into, value);
+  }
+}
+
+/// Expands to one `type name = 0;` field per registry entry.
+#define JPAR_COUNTER_FIELD(type, name, merge) type name = 0;
+/// Expands to one visitor call `f("name", name)` per registry entry.
+#define JPAR_COUNTER_VISIT(type, name, merge) f(#name, name);
+/// Calls f(name, field) for each counter of `list`, in list order.
+#define JPAR_COUNTER_FOR_EACH(list)                                            \
+  template <typename F>                                                        \
+  void ForEachCounter(F&& f) {                                                 \
+    list(JPAR_COUNTER_VISIT)                                                   \
+  }                                                                            \
+  template <typename F>                                                        \
+  void ForEachCounter(F&& f) const {                                           \
+    list(JPAR_COUNTER_VISIT)                                                   \
+  }
+
+/// The per-stage counters: X(type, name, merge), in wire order. A
+/// stage's tasks fold into these by the listed merge.
+#define JPAR_STAGE_COUNTERS(X)                                                 \
+  X(uint64_t, exchange_bytes, kSum)                                            \
+  X(uint64_t, exchange_frames, kSum)                                           \
+  X(uint64_t, exchange_tuples, kSum)                                           \
+  /* Largest single serialized tuple seen at an operator boundary or           \
+     exchange (shows how the rewrite rules shrink tuple granularity). */       \
+  X(uint64_t, max_tuple_bytes, kMax)                                           \
+  /* Total bytes materialized into frames at intra-pipeline operator           \
+     boundaries (the "buffer size between operators" of paper §4.1). */        \
+  X(uint64_t, pipeline_bytes, kSum)                                            \
+  /* Frames larger than the configured frame size (tuple > frame). */          \
+  X(uint64_t, oversized_frames, kSum)
 
 /// Per-stage measurements. A "stage" is a Hyracks-style superstep: all
 /// partitions of one pipeline (or one exchange + blocking operator) run
@@ -29,17 +73,9 @@ struct StageStats {
   std::vector<std::vector<double>> exchange_task_ms;
   /// Simulated cross-node network time for this stage's exchange.
   double network_ms = 0;
-  uint64_t exchange_bytes = 0;
-  uint64_t exchange_frames = 0;
-  uint64_t exchange_tuples = 0;
-  /// Largest single serialized tuple seen at an operator boundary or
-  /// exchange (shows how the rewrite rules shrink tuple granularity).
-  uint64_t max_tuple_bytes = 0;
-  /// Total bytes materialized into frames at intra-pipeline operator
-  /// boundaries (the "buffer size between operators" of paper §4.1).
-  uint64_t pipeline_bytes = 0;
-  /// Frames larger than the configured frame size (tuple > frame).
-  uint64_t oversized_frames = 0;
+  JPAR_STAGE_COUNTERS(JPAR_COUNTER_FIELD)
+
+  JPAR_COUNTER_FOR_EACH(JPAR_STAGE_COUNTERS)
 
   double MaxPartitionMs() const {
     double m = 0;
@@ -53,8 +89,81 @@ struct StageStats {
   }
 };
 
-/// End-to-end execution statistics returned with every query result.
-struct ExecStats {
+/// The registry of per-query execution counters, the only list of
+/// them: X(type, name, merge), in wire order. `type` is uint64_t or
+/// double; `merge` says how partial values fold (CounterMerge). The
+/// ExecCounters fields, their merge, the dist wire encoding and the
+/// QueryService aggregate are all generated from this list, so a new
+/// counter is one entry here.
+#define JPAR_EXEC_COUNTERS(X)                                                  \
+  /* Modeled cross-node network time included in makespan_ms. */               \
+  X(double, network_ms, kSum)                                                  \
+  X(uint64_t, bytes_scanned, kSum)                                             \
+  X(uint64_t, items_scanned, kSum)                                             \
+  X(uint64_t, result_rows, kSum)                                               \
+  X(uint64_t, peak_retained_bytes, kMax)                                       \
+  /* Malformed records skipped by degraded scans                               \
+     (ExecOptions::on_parse_error == kSkipAndCount); 0 in strict mode. */      \
+  X(uint64_t, skipped_records, kSum)                                           \
+  /* Scan tasks executed by morsel-driven DATASCANs (threaded runs             \
+     split files into newline-aligned ~morsel_bytes chunks); 0 when            \
+     scans ran sequentially. */                                                \
+  X(uint64_t, morsels_scanned, kSum)                                           \
+  /* Memory-governed spilling (ExecOptions::spill == kEnabled,                 \
+     DESIGN.md §10). Run files written by group-by/sort operators that         \
+     exceeded their budget share; all 0 when nothing spilled. */               \
+  X(uint64_t, spill_runs, kSum)                                                \
+  X(uint64_t, spill_bytes_written, kSum)                                       \
+  /* Bucket merge passes, counting recursive repartitions of                   \
+     hash-collision-heavy buckets. */                                          \
+  X(uint64_t, spill_merge_passes, kSum)                                        \
+  /* Distributed execution (src/dist, DESIGN.md §11); all 0 for                \
+     single-process runs. */                                                   \
+  X(uint64_t, dist_workers, kSum) /* worker processes that ran fragments */    \
+  X(uint64_t, dist_rounds, kSum)  /* fragment rounds (attempts) dispatched */  \
+  X(uint64_t, dist_frames, kSum)  /* data frames routed by the dispatcher */   \
+  X(uint64_t, dist_bytes, kSum)   /* payload bytes of those frames */          \
+  /* Failure recovery (DESIGN.md §12); all 0 when no worker was lost. */       \
+  X(uint64_t, fragment_retries, kSum)   /* re-sent after kWorkerLost */        \
+  X(uint64_t, workers_respawned, kSum)  /* respawned mid-query */              \
+  X(uint64_t, frames_replayed, kSum)    /* re-sent to retried fragments */     \
+  X(uint64_t, replay_spill_bytes, kSum) /* replay buffer spilled to disk */    \
+  /* Wall clock from first loss detection until the affected stages            \
+     completed (includes backoff, respawn, and re-execution time). */          \
+  X(double, recovery_ms, kSum)                                                 \
+  /* Vectorized execution (DESIGN.md §13); both 0 under the legacy             \
+     tuple-at-a-time path (ExprMode::kTree, JPAR_DISABLE_EXPR_BYTECODE). */    \
+  X(uint64_t, batches_emitted, kSum) /* TupleBatches flushed */                \
+  X(uint64_t, exprs_compiled, kSum)  /* ASSIGN/SELECT exprs as bytecode */     \
+  /* Warm storage tier (DESIGN.md §14); all 0 when the cache is off or         \
+     every scanned file is in-memory/binary. */                                \
+  X(uint64_t, tape_hits, kSum)     /* scans served a cached tape */            \
+  X(uint64_t, tape_builds, kSum)   /* tapes built (and cached) */              \
+  X(uint64_t, columns_read, kSum)  /* files served from column cache */        \
+  X(uint64_t, blocks_pruned, kSum) /* blocks skipped via zone maps */          \
+  /* Sampled statistics (DESIGN.md §15): (file, path) samples this             \
+     query contributed to the StatsStore; 0 when stats are off or every        \
+     sample was already fresh. */                                              \
+  X(uint64_t, stats_paths_built, kSum)
+
+/// One value per JPAR_EXEC_COUNTERS entry.
+struct ExecCounters {
+  JPAR_EXEC_COUNTERS(JPAR_COUNTER_FIELD)
+
+  /// Folds `other` in: kSum counters add, kMax counters keep the larger.
+  void Add(const ExecCounters& other) {
+#define JPAR_COUNTER_ADD(type, name, merge)                                    \
+  MergeCounter<CounterMerge::merge>(&name, other.name);
+    JPAR_EXEC_COUNTERS(JPAR_COUNTER_ADD)
+#undef JPAR_COUNTER_ADD
+  }
+
+  JPAR_COUNTER_FOR_EACH(JPAR_EXEC_COUNTERS)
+};
+
+/// End-to-end execution statistics returned with every query result:
+/// the registry counters plus what only the coordinator sets.
+struct ExecStats : ExecCounters {
   std::vector<StageStats> stages;
 
   /// Real wall-clock time of the whole job on this host.
@@ -63,95 +172,18 @@ struct ExecStats {
   /// max(partition_ms) + exchange_ms (+ modeled network cost). This is
   /// the quantity the paper's speed-up/scale-up figures plot.
   double makespan_ms = 0;
-  /// Modeled cross-node network time included in makespan_ms.
-  double network_ms = 0;
-
-  uint64_t bytes_scanned = 0;
-  uint64_t items_scanned = 0;
-  uint64_t result_rows = 0;
-  uint64_t peak_retained_bytes = 0;
-  /// Malformed records skipped by degraded scans
-  /// (ExecOptions::on_parse_error == kSkipAndCount); 0 in strict mode.
-  uint64_t skipped_records = 0;
-  /// Scan tasks executed by morsel-driven DATASCANs (threaded runs
-  /// split files into newline-aligned ~morsel_bytes chunks); 0 when
-  /// scans ran sequentially.
-  uint64_t morsels_scanned = 0;
-  /// Memory-governed spilling (ExecOptions::spill == kEnabled,
-  /// DESIGN.md §10). Run files written by group-by/sort operators that
-  /// exceeded their budget share; all 0 when nothing spilled.
-  uint64_t spill_runs = 0;
-  uint64_t spill_bytes_written = 0;
-  /// Bucket merge passes, counting recursive repartitions of
-  /// hash-collision-heavy buckets.
-  uint64_t spill_merge_passes = 0;
-
-  /// Distributed execution (src/dist, DESIGN.md §11); all 0 for
-  /// single-process runs.
-  uint64_t dist_workers = 0;  // worker processes that ran fragments
-  uint64_t dist_rounds = 0;   // fragment rounds (attempts) dispatched
-  uint64_t dist_frames = 0;   // data frames routed through the dispatcher
-  uint64_t dist_bytes = 0;    // payload bytes of those frames
-
-  /// Vectorized execution (DESIGN.md §13); both 0 under the legacy
-  /// tuple-at-a-time path (ExprMode::kTree or JPAR_DISABLE_EXPR_BYTECODE).
-  uint64_t batches_emitted = 0;  // TupleBatches flushed through pipelines
-  uint64_t exprs_compiled = 0;   // ASSIGN/SELECT exprs running as bytecode
-
-  /// Warm storage tier (DESIGN.md §14); all 0 when the cache is off or
-  /// every scanned file is in-memory/binary.
-  uint64_t tape_hits = 0;      // scans served a cached structural tape
-  uint64_t tape_builds = 0;    // tapes built (and cached) this query
-  uint64_t columns_read = 0;   // files served from the columnar cache
-  uint64_t blocks_pruned = 0;  // column blocks skipped via zone maps
-
-  /// Sampled statistics (DESIGN.md §15): (file, path) samples this
-  /// query contributed to the StatsStore; 0 when stats are off or
-  /// every sample was already fresh.
-  uint64_t stats_paths_built = 0;
-
-  /// Failure recovery (DESIGN.md §12); all 0 when no worker was lost.
-  uint64_t fragment_retries = 0;   // fragment re-dispatches after kWorkerLost
-  uint64_t workers_respawned = 0;  // worker processes respawned mid-query
-  uint64_t frames_replayed = 0;    // input frames re-sent to retried fragments
-  uint64_t replay_spill_bytes = 0;  // replay-buffer bytes spilled to disk
-  /// Wall clock from first loss detection until the affected stages
-  /// completed (includes backoff, respawn, and re-execution time).
-  double recovery_ms = 0;
 
   void Merge(const StageStats& stage) { stages.push_back(stage); }
 
   /// Folds a worker-side fragment's stats into this (dispatcher-side)
-  /// aggregate: stages are appended, counters summed, peaks maxed.
-  /// Timing aggregates (real_ms/makespan_ms) are left to the caller —
-  /// in a distributed run they are genuine wall-clock, not sums.
+  /// aggregate: stages are appended, counters merged by their registry
+  /// kind. Timing aggregates (real_ms/makespan_ms) are left to the
+  /// caller — in a distributed run they are genuine wall-clock, not
+  /// sums. A fragment never sets result_rows, dist_workers or
+  /// dist_rounds; the dispatcher sets those itself.
   void MergeFrom(const ExecStats& other) {
     for (const StageStats& s : other.stages) stages.push_back(s);
-    network_ms += other.network_ms;
-    bytes_scanned += other.bytes_scanned;
-    items_scanned += other.items_scanned;
-    if (other.peak_retained_bytes > peak_retained_bytes) {
-      peak_retained_bytes = other.peak_retained_bytes;
-    }
-    skipped_records += other.skipped_records;
-    morsels_scanned += other.morsels_scanned;
-    spill_runs += other.spill_runs;
-    spill_bytes_written += other.spill_bytes_written;
-    spill_merge_passes += other.spill_merge_passes;
-    batches_emitted += other.batches_emitted;
-    exprs_compiled += other.exprs_compiled;
-    tape_hits += other.tape_hits;
-    tape_builds += other.tape_builds;
-    columns_read += other.columns_read;
-    blocks_pruned += other.blocks_pruned;
-    stats_paths_built += other.stats_paths_built;
-    dist_frames += other.dist_frames;
-    dist_bytes += other.dist_bytes;
-    fragment_retries += other.fragment_retries;
-    workers_respawned += other.workers_respawned;
-    frames_replayed += other.frames_replayed;
-    replay_spill_bytes += other.replay_spill_bytes;
-    recovery_ms += other.recovery_ms;
+    Add(other);
   }
 };
 

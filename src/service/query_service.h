@@ -15,6 +15,7 @@
 #include "core/engine.h"
 #include "dist/dispatcher.h"
 #include "runtime/query_context.h"
+#include "runtime/stats.h"
 #include "service/admission.h"
 #include "service/plan_cache.h"
 #include "service/worker_pool.h"
@@ -168,8 +169,11 @@ class Session : public std::enable_shared_from_this<Session> {
   std::atomic<uint64_t> failed_{0};
 };
 
-/// A point-in-time snapshot of every service counter.
-struct ServiceMetrics {
+/// A point-in-time snapshot of every service counter. The inherited
+/// registry counters (JPAR_EXEC_COUNTERS) aggregate the ExecStats of
+/// successfully completed queries by their merge kind; a query that
+/// fails outright reports no stats.
+struct ServiceMetrics : ExecCounters {
   PlanCacheStats plan_cache;
   AdmissionStats admission;
   uint64_t sessions = 0;
@@ -183,21 +187,8 @@ struct ServiceMetrics {
   // Distributed execution (zero unless ServiceOptions::dist enabled).
   uint64_t distributed = 0;      // ran on the worker cluster
   uint64_t dist_fallbacks = 0;   // ran in-process instead (any reason)
-  // Failure recovery (DESIGN.md §12). Counters below aggregate the
-  // ExecStats of successfully completed queries (a query that fails
-  // outright reports no stats), except dist_worker_lost_fallbacks
-  // which counts the mid-query in-process reruns themselves.
+  // Failure recovery (DESIGN.md §12): mid-query in-process reruns.
   uint64_t dist_worker_lost_fallbacks = 0;  // kWorkerLost → in-process rerun
-  uint64_t fragment_retries = 0;    // fragments re-dispatched after loss
-  uint64_t workers_respawned = 0;   // workers respawned mid-query
-  uint64_t frames_replayed = 0;     // input frames replayed to retries
-  uint64_t replay_spill_bytes = 0;  // replay buffer bytes spilled to disk
-  // Warm storage tier (DESIGN.md §14), aggregated like the recovery
-  // counters from the ExecStats of successfully completed queries.
-  uint64_t tape_hits = 0;      // scans served a cached structural tape
-  uint64_t tape_builds = 0;    // structural tapes built and cached
-  uint64_t columns_read = 0;   // files answered from the columnar cache
-  uint64_t blocks_pruned = 0;  // column blocks skipped via zone maps
 
   /// Multi-line human-readable dump (used by bench_service_throughput).
   std::string ToString() const;
@@ -268,14 +259,10 @@ class QueryService {
   std::atomic<uint64_t> distributed_{0};
   std::atomic<uint64_t> dist_fallbacks_{0};
   std::atomic<uint64_t> dist_worker_lost_fallbacks_{0};
-  std::atomic<uint64_t> fragment_retries_{0};
-  std::atomic<uint64_t> workers_respawned_{0};
-  std::atomic<uint64_t> frames_replayed_{0};
-  std::atomic<uint64_t> replay_spill_bytes_{0};
-  std::atomic<uint64_t> tape_hits_{0};
-  std::atomic<uint64_t> tape_builds_{0};
-  std::atomic<uint64_t> columns_read_{0};
-  std::atomic<uint64_t> blocks_pruned_{0};
+
+  /// Registry counters of every successful query, folded by Add.
+  mutable std::mutex exec_mu_;
+  ExecCounters exec_totals_;
 
   /// Non-null iff options_.dist.enabled(). Declared before pool_ so
   /// worker threads (which call into it) stop before it is destroyed;

@@ -5,9 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+
+#include "common/env.h"
 
 namespace jpar {
 
@@ -124,10 +125,7 @@ void WriteSidecar(const std::string& dest, const std::string& bytes) {
 }  // namespace
 
 bool StatsDisabledByEnv() {
-  static const bool disabled = [] {
-    const char* env = std::getenv("JPAR_DISABLE_STATS");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-  }();
+  static const bool disabled = EnvFlagSet("JPAR_DISABLE_STATS");
   return disabled;
 }
 

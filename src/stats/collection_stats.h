@@ -28,7 +28,8 @@ namespace jpar {
 /// JPAR_DISABLE_STORAGE_CACHE.
 enum class StatsMode : uint8_t { kAuto = 0, kOff = 1, kForced = 2 };
 
-/// True when JPAR_DISABLE_STATS is set (checked once per process).
+/// True when JPAR_DISABLE_STATS is set per EnvFlagSet (checked once per
+/// process).
 bool StatsDisabledByEnv();
 
 /// True when `mode` (after the env kill-switch) permits building or

@@ -4,9 +4,10 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
+
+#include "common/env.h"
 
 namespace jpar {
 
@@ -101,10 +102,7 @@ bool CheckHeader(const char magic[8], const FileSignature& sig,
 }  // namespace
 
 bool StorageCacheDisabledByEnv() {
-  static const bool disabled = [] {
-    const char* env = std::getenv("JPAR_DISABLE_STORAGE_CACHE");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-  }();
+  static const bool disabled = EnvFlagSet("JPAR_DISABLE_STORAGE_CACHE");
   return disabled;
 }
 

@@ -27,7 +27,8 @@ namespace jpar {
 enum class StorageMode : uint8_t { kAuto = 0, kOff = 1, kTape = 2,
                                    kColumnar = 3 };
 
-/// True when JPAR_DISABLE_STORAGE_CACHE is set (checked once).
+/// True when JPAR_DISABLE_STORAGE_CACHE is set per EnvFlagSet (checked
+/// once).
 bool StorageCacheDisabledByEnv();
 
 /// Per-query view of the manager's knobs, resolved from ExecOptions.

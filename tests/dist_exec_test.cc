@@ -118,6 +118,7 @@ TEST(DistExecTest, PaperQueriesByteIdenticalAcrossWorkerCounts) {
       // preserves the in-process exchange's source-rank order.
       EXPECT_EQ(Rows(*dist), Rows(*local));
       EXPECT_EQ(dist->stats.dist_workers, static_cast<uint64_t>(workers));
+      EXPECT_EQ(dist->stats.result_rows, dist->items.size());
       EXPECT_GE(dist->stats.dist_rounds, 1u);
     }
     cluster.Stop();
@@ -159,6 +160,7 @@ TEST(DistExecTest, DistributedBytecodeMatchesInProcessTreeRuns) {
 
       EXPECT_EQ(Rows(*dist), Rows(*tree));
       EXPECT_EQ(dist->stats.dist_workers, static_cast<uint64_t>(workers));
+      EXPECT_EQ(dist->stats.result_rows, dist->items.size());
     }
     cluster.Stop();
   }
@@ -385,6 +387,7 @@ TEST(DistExecTest, StatsOnDistributedMatchesStatsOffInProcess) {
         EXPECT_EQ(Rows(*dist), Rows(*off_local))
             << "stats mode " << static_cast<int>(mode);
         EXPECT_EQ(dist->stats.dist_workers, static_cast<uint64_t>(workers));
+        EXPECT_EQ(dist->stats.result_rows, dist->items.size());
       }
     }
     cluster.Stop();

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/engine.h"
@@ -132,32 +135,226 @@ TEST(ProtocolTest, FragmentRequestRoundTrip) {
   EXPECT_EQ(a, b);
 }
 
+// Every registry counter as "name=value", in registry order.
+template <typename Counters>
+std::vector<std::string> CounterValues(const Counters& c) {
+  std::vector<std::string> out;
+  c.ForEachCounter([&out](const char* name, const auto& v) {
+    std::ostringstream os;
+    os << name << "=" << std::setprecision(17) << v;
+    out.push_back(os.str());
+  });
+  return out;
+}
+
+// Gives counter i of `c` a distinct, nonzero value derived from `seed`
+// (multi-byte varints for the integers, fractional doubles).
+template <typename Counters>
+void FillCounters(uint64_t seed, Counters* c) {
+  uint64_t i = 0;
+  c->ForEachCounter([&](const char*, auto& v) {
+    ++i;
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>) {
+      v = static_cast<double>(seed * 100 + i) + 0.25;
+    } else {
+      v = (uint64_t{1} << (7 + (i % 50))) + seed * 1000 + i;
+    }
+  });
+}
+
 TEST(ProtocolTest, OutputEofRoundTrip) {
   OutputEofMsg msg;
   msg.code = StatusCode::kDeadlineExceeded;
   msg.message = "deadline exceeded during SCAN";
-  msg.stats.bytes_scanned = 1111;
-  msg.stats.items_scanned = 22;
-  msg.stats.result_rows = 3;
-  msg.stats.batches_emitted = 44;
-  msg.stats.exprs_compiled = 5;
-  msg.stats.tape_hits = 6;
-  msg.stats.tape_builds = 7;
-  msg.stats.columns_read = 8;
-  msg.stats.blocks_pruned = 99;
+  msg.stats.real_ms = 12.5;
+  msg.stats.makespan_ms = 7.75;
+  FillCounters(1, &msg.stats);
+  for (uint64_t s = 0; s < 2; ++s) {
+    StageStats stage;
+    stage.name = "stage" + std::to_string(s);
+    stage.partition_ms = {1.5, 2.5};
+    stage.exchange_ms = 0.5;
+    stage.exchange_task_ms = {{0.25}, {0.125, 0.375}};
+    stage.network_ms = 0.0625;
+    FillCounters(2 + s, &stage);
+    msg.stats.stages.push_back(stage);
+  }
+  std::vector<std::string> want = CounterValues(msg.stats);
+  ASSERT_EQ(want.size(), 26u);
+  ASSERT_EQ(CounterValues(msg.stats.stages[0]).size(), 6u);
+
   auto got = DecodeOutputEof(EncodeOutputEof(msg));
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got->code, StatusCode::kDeadlineExceeded);
   EXPECT_EQ(got->message, msg.message);
-  EXPECT_EQ(got->stats.bytes_scanned, 1111u);
-  EXPECT_EQ(got->stats.items_scanned, 22u);
-  EXPECT_EQ(got->stats.result_rows, 3u);
-  EXPECT_EQ(got->stats.batches_emitted, 44u);
-  EXPECT_EQ(got->stats.exprs_compiled, 5u);
-  EXPECT_EQ(got->stats.tape_hits, 6u);
-  EXPECT_EQ(got->stats.tape_builds, 7u);
-  EXPECT_EQ(got->stats.columns_read, 8u);
-  EXPECT_EQ(got->stats.blocks_pruned, 99u);
+  EXPECT_EQ(CounterValues(got->stats), want);
+  EXPECT_EQ(got->stats.real_ms, 12.5);
+  EXPECT_EQ(got->stats.makespan_ms, 7.75);
+  ASSERT_EQ(got->stats.stages.size(), 2u);
+  for (size_t s = 0; s < 2; ++s) {
+    const StageStats& in = msg.stats.stages[s];
+    const StageStats& out = got->stats.stages[s];
+    EXPECT_EQ(out.name, in.name);
+    EXPECT_EQ(out.partition_ms, in.partition_ms);
+    EXPECT_EQ(out.exchange_ms, in.exchange_ms);
+    EXPECT_EQ(out.exchange_task_ms, in.exchange_task_ms);
+    EXPECT_EQ(out.network_ms, in.network_ms);
+    EXPECT_EQ(CounterValues(out), CounterValues(in));
+  }
+}
+
+// Fragment and task stats fold by the registry's merge kind: kSum
+// counters add, and peak_retained_bytes — the only kMax counter —
+// keeps the larger peak.
+TEST(ExecCountersTest, AddAndMergeFromFoldByRegistryKind) {
+  std::vector<std::string> max_counters;
+#define JPAR_TEST_MAX_NAME(type, name, merge) \
+  if (CounterMerge::merge == CounterMerge::kMax) max_counters.push_back(#name);
+  JPAR_EXEC_COUNTERS(JPAR_TEST_MAX_NAME)
+#undef JPAR_TEST_MAX_NAME
+  EXPECT_EQ(max_counters, std::vector<std::string>{"peak_retained_bytes"});
+
+  ExecStats a;
+  ExecStats b;
+  FillCounters(1, &a);
+  FillCounters(2, &b);
+  a.peak_retained_bytes = 5000;
+  b.peak_retained_bytes = 3000;
+  a.real_ms = 1;
+  a.makespan_ms = 2;
+  b.real_ms = 100;
+  b.makespan_ms = 200;
+  a.stages.push_back(StageStats{});
+  b.stages.resize(2);
+  b.stages[1].name = "remote";
+
+  ExecStats merged = a;
+  merged.MergeFrom(b);
+#define JPAR_TEST_MERGED(type, name, merge)                             \
+  if (CounterMerge::merge == CounterMerge::kSum) {                      \
+    EXPECT_EQ(merged.name, a.name + b.name) << #name;                   \
+  } else {                                                              \
+    EXPECT_EQ(merged.name, std::max(a.name, b.name)) << #name;          \
+  }
+  JPAR_EXEC_COUNTERS(JPAR_TEST_MERGED)
+#undef JPAR_TEST_MERGED
+  EXPECT_EQ(merged.peak_retained_bytes, 5000u);
+  EXPECT_EQ(merged.bytes_scanned, a.bytes_scanned + b.bytes_scanned);
+  EXPECT_EQ(merged.recovery_ms, a.recovery_ms + b.recovery_ms);
+  // Stages append; the coordinator's wall clocks are left alone.
+  ASSERT_EQ(merged.stages.size(), 3u);
+  EXPECT_EQ(merged.stages[2].name, "remote");
+  EXPECT_EQ(merged.real_ms, 1);
+  EXPECT_EQ(merged.makespan_ms, 2);
+
+  // Add on the bare counters is the same fold.
+  ExecCounters sum = a;
+  sum.Add(b);
+  EXPECT_EQ(CounterValues(sum), CounterValues(merged));
+}
+
+// A fixed ExecStats with two stages and every counter set, written
+// field by field (not through the registry) so the bytes below pin the
+// wire format independently of how the encoder is generated.
+ExecStats GoldenStats() {
+  ExecStats stats;
+  for (int s = 0; s < 2; ++s) {
+    StageStats stage;
+    stage.name = s == 0 ? "scan" : "join";
+    stage.partition_ms = {1.5, 2.25 + s};
+    stage.exchange_ms = 0.5;
+    stage.exchange_task_ms = {{0.25}, {0.75, 1.0}};
+    stage.network_ms = 0.125;
+    stage.exchange_bytes = 300 + s;
+    stage.exchange_frames = 2;
+    stage.exchange_tuples = 3;
+    stage.max_tuple_bytes = 4;
+    stage.pipeline_bytes = 5;
+    stage.oversized_frames = 6;
+    stats.stages.push_back(stage);
+  }
+  stats.real_ms = 10.5;
+  stats.makespan_ms = 8.25;
+  stats.network_ms = 0.375;
+  stats.bytes_scanned = 100000;
+  stats.items_scanned = 1001;
+  stats.result_rows = 3;
+  stats.peak_retained_bytes = 4096;
+  stats.skipped_records = 5;
+  stats.morsels_scanned = 6;
+  stats.spill_runs = 7;
+  stats.spill_bytes_written = 8;
+  stats.spill_merge_passes = 9;
+  stats.dist_workers = 10;
+  stats.dist_rounds = 11;
+  stats.dist_frames = 12;
+  stats.dist_bytes = 13;
+  stats.fragment_retries = 14;
+  stats.workers_respawned = 15;
+  stats.frames_replayed = 16;
+  stats.replay_spill_bytes = 17;
+  stats.recovery_ms = 3.5;
+  stats.batches_emitted = 18;
+  stats.exprs_compiled = 19;
+  stats.tape_hits = 20;
+  stats.tape_builds = 21;
+  stats.columns_read = 22;
+  stats.blocks_pruned = 23;
+  stats.stats_paths_built = 24;
+  return stats;
+}
+
+std::string Hex(const std::string& bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 15]);
+  }
+  return out;
+}
+
+TEST(ProtocolTest, ExecStatsGoldenBytes) {
+  std::string bytes;
+  EncodeExecStats(GoldenStats(), &bytes);
+  // Stages (name, partition_ms, exchange_ms, exchange_task_ms,
+  // network_ms, six counters), then real_ms, makespan_ms and the 26
+  // query counters: varints for integers, 8-byte LE doubles.
+  const std::string golden =
+      "02047363616e02000000000000f83f0000000000000240000000000000e03f02"
+      "01000000000000d03f02000000000000e83f000000000000f03f000000000000"
+      "c03fac020203040506046a6f696e02000000000000f83f0000000000000a4000"
+      "0000000000e03f0201000000000000d03f02000000000000e83f000000000000"
+      "f03f000000000000c03fad020203040506000000000000254000000000008020"
+      "40000000000000d83fa08d06e90703802005060708090a0b0c0d0e0f10110000"
+      "000000000c4012131415161718";
+  EXPECT_EQ(Hex(bytes), golden);
+}
+
+// Every strict prefix of a valid encoding is rejected with a Status,
+// never read past its end (the sanitizer job runs this).
+TEST(ProtocolTest, ExecStatsTruncatedAtEveryByteRejected) {
+  std::string bytes;
+  EncodeExecStats(GoldenStats(), &bytes);
+  for (size_t n = 0; n < bytes.size(); ++n) {
+    const std::string prefix = bytes.substr(0, n);
+    PayloadReader reader(prefix);
+    ExecStats out;
+    EXPECT_FALSE(DecodeExecStats(&reader, &out).ok()) << "prefix " << n;
+  }
+  PayloadReader whole(bytes);
+  ExecStats out;
+  ASSERT_TRUE(DecodeExecStats(&whole, &out).ok());
+  EXPECT_TRUE(whole.AtEnd());
+
+  // A vector count far beyond the payload is a Status, not an
+  // allocation of that many doubles.
+  std::string huge;
+  PutVarint(1, &huge);  // one stage
+  PutBytes("s", &huge);
+  PutVarint(uint64_t{1} << 60, &huge);  // partition_ms count
+  PayloadReader reader(huge);
+  EXPECT_FALSE(DecodeExecStats(&reader, &out).ok());
 }
 
 TEST(ProtocolTest, CancelAndCreditRoundTrip) {

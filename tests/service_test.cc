@@ -498,6 +498,74 @@ TEST(QueryServiceTest, SpillCapableSessionClippedInsteadOfRejected) {
             std::string::npos);
 }
 
+// ServiceMetrics folds every registry counter of each successful
+// query's ExecStats: spill, skipped-record, batch, scan-byte and
+// result-row counters all reach the service.
+TEST(QueryServiceTest, MetricsAggregateEveryExecCounter) {
+  ServiceOptions options;
+  options.worker_threads = 2;
+  QueryService service(options);
+  RegisterDocs(service.catalog(), MakeDocs(2000));
+  Collection dirty;
+  dirty.files.push_back(JsonFile::FromText(
+      "{\"v\": 1}\n{\"v\": 2}\n{corrupt line\n{\"v\": 4}\n"));
+  service.catalog()->RegisterCollection("/dirty", std::move(dirty));
+
+  EngineOptions spill_opts = options.engine;
+  spill_opts.exec.spill = SpillMode::kEnabled;
+  spill_opts.exec.memory_limit_bytes = 4096;  // soft budget: the sort spills
+  EngineOptions lenient_opts = options.engine;
+  lenient_opts.exec.on_parse_error = ParseErrorPolicy::kSkipAndCount;
+  auto spill_session = service.CreateSession(spill_opts);
+  auto lenient_session = service.CreateSession(lenient_opts);
+
+  QueryTicket spilled = spill_session->Submit(R"(
+      for $d in collection("/c")
+      order by $d("v") descending
+      return $d("v"))");
+  QueryTicket lenient = lenient_session->Submit(
+      R"(for $d in collection("/dirty") return $d("v"))");
+  ASSERT_TRUE(spilled.status().ok()) << spilled.status().ToString();
+  ASSERT_TRUE(lenient.status().ok()) << lenient.status().ToString();
+  const ExecStats& a = spilled.output().stats;
+  const ExecStats& b = lenient.output().stats;
+  ASSERT_GT(a.spill_runs, 0u);
+  ASSERT_EQ(b.skipped_records, 1u);
+  ASSERT_EQ(a.result_rows, 2000u);
+  ASSERT_EQ(b.result_rows, 3u);
+
+  ServiceMetrics m = service.Metrics();
+  EXPECT_EQ(m.succeeded, 2u);
+  EXPECT_EQ(m.spill_runs, a.spill_runs + b.spill_runs);
+  EXPECT_EQ(m.spill_bytes_written,
+            a.spill_bytes_written + b.spill_bytes_written);
+  EXPECT_EQ(m.skipped_records, a.skipped_records + b.skipped_records);
+  EXPECT_EQ(m.batches_emitted, a.batches_emitted + b.batches_emitted);
+  EXPECT_EQ(m.bytes_scanned, a.bytes_scanned + b.bytes_scanned);
+  EXPECT_EQ(m.result_rows, 2003u);
+
+  // Every other registry counter folds the same way.
+  ExecCounters want = a;
+  want.Add(b);
+  std::vector<std::string> got_values;
+  std::vector<std::string> want_values;
+  auto collect = [](std::vector<std::string>* out) {
+    return [out](const char* name, auto v) {
+      out->push_back(std::string(name) + "=" + std::to_string(v));
+    };
+  };
+  m.ForEachCounter(collect(&got_values));
+  want.ForEachCounter(collect(&want_values));
+  EXPECT_EQ(got_values, want_values);
+
+  // The dump lists the registry counters by name.
+  const std::string dump = m.ToString();
+  EXPECT_NE(dump.find("execution:\n"), std::string::npos);
+  EXPECT_NE(dump.find("  spill_runs: " + std::to_string(m.spill_runs)),
+            std::string::npos);
+  EXPECT_NE(dump.find("  skipped_records: 1\n"), std::string::npos);
+}
+
 TEST(QueryServiceTest, FullQueueRejectsWithUnavailable) {
   QueryGate gate;
   ServiceOptions options;

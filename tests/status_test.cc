@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 
+#include "common/env.h"
 #include "common/result.h"
 
 namespace jpar {
@@ -116,6 +118,25 @@ TEST(ResultTest, AssignOrReturnIntoExistingVariable) {
   };
   EXPECT_EQ(*consumer(false), 2048u);
   EXPECT_EQ(consumer(true).status().code(), StatusCode::kResourceExhausted);
+}
+
+
+// One parse rule for every JPAR_DISABLE_* kill-switch: unset, empty or
+// "0" is off, anything else is on.
+TEST(EnvFlagTest, UnsetEmptyAndZeroAreOffAnythingElseIsOn) {
+  constexpr const char* kVar = "JPAR_ENV_FLAG_TEST_ONLY";
+  ASSERT_EQ(unsetenv(kVar), 0);
+  EXPECT_FALSE(EnvFlagSet(kVar));
+  for (const char* off : {"", "0"}) {
+    ASSERT_EQ(setenv(kVar, off, 1), 0);
+    EXPECT_FALSE(EnvFlagSet(kVar)) << "value \"" << off << "\"";
+  }
+  for (const char* on : {"1", "yes", "00", "0x", "false"}) {
+    ASSERT_EQ(setenv(kVar, on, 1), 0);
+    EXPECT_TRUE(EnvFlagSet(kVar)) << "value \"" << on << "\"";
+  }
+  ASSERT_EQ(unsetenv(kVar), 0);
+  EXPECT_FALSE(EnvFlagSet(kVar));
 }
 
 }  // namespace
