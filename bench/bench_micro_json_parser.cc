@@ -85,6 +85,49 @@ void BM_ProjectedScanSkipHeavyScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_ProjectedScanSkipHeavyScalar);
 
+/// Whole measurement records (Q1's DATASCAN path), each streamed
+/// through ProjectJsonStreamWithIndex with an optional scan prefilter.
+void RecordScan(benchmark::State& state, const jpar::RecordProbe* probe) {
+  std::string text = MakeFile();
+  const std::vector<jpar::PathStep> steps = {
+      jpar::PathStep::Key("root"), jpar::PathStep::KeysOrMembers(),
+      jpar::PathStep::Key("results"), jpar::PathStep::KeysOrMembers()};
+  size_t kept = 0;
+  for (auto _ : state) {
+    kept = 0;
+    auto st = jpar::ProjectJsonStreamWithIndex(
+        text, steps, nullptr, 0,
+        [&](jpar::Item) {
+          ++kept;
+          return jpar::Status::OK();
+        },
+        nullptr, nullptr, jpar::ScanMode::kIndexed, probe);
+    benchmark::DoNotOptimize(kept);
+    if (!st.ok()) state.SkipWithError(st.ToString().c_str());
+  }
+  state.counters["kept"] = static_cast<double>(kept);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(text.size()));
+}
+
+void BM_ProjectedScanRecords(benchmark::State& state) {
+  RecordScan(state, nullptr);
+}
+BENCHMARK(BM_ProjectedScanRecords);
+
+/// The scan prefilter's JSON-layer share (DESIGN.md §9): one probe key,
+/// `dataType`, and 1 record in 4 (TMIN) kept and re-parsed.
+void BM_ProjectedScanProbe(benchmark::State& state) {
+  jpar::RecordProbe probe;
+  probe.keys = {"dataType"};
+  probe.keep = [](std::vector<jpar::Item>* slots) -> jpar::Result<bool> {
+    const jpar::Item& type = (*slots)[0];
+    return type.is_string() && type.string_value() == "TMIN";
+  };
+  RecordScan(state, &probe);
+}
+BENCHMARK(BM_ProjectedScanProbe);
+
 void BM_StructuralIndexBuild(benchmark::State& state) {
   std::string text = MakeFile();
   jpar::SimdLevel level =

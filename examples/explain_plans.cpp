@@ -12,6 +12,32 @@
 #include "core/engine.h"
 #include "data/sensor_generator.h"
 
+namespace {
+
+/// Prints every DATASCAN's field-probe prefilter (DESIGN.md §9): the
+/// top-level keys it probes and the ASSIGN/SELECT run it evaluates over
+/// them, where $colI reads keys[I] and later columns are the run's
+/// ASSIGNs.
+void PrintPrefilters(const jpar::PNode* node, int* printed) {
+  if (node == nullptr) return;
+  if (node->kind == jpar::PNode::Kind::kPipeline && node->input == nullptr &&
+      node->scan.prefilter != nullptr) {
+    const jpar::ScanPrefilter& pf = *node->scan.prefilter;
+    std::printf("%s\n  probe keys:", node->scan.ToString().c_str());
+    for (const std::string& key : pf.keys) std::printf(" \"%s\"", key.c_str());
+    std::printf("\n");
+    for (const jpar::UnaryOpDesc& op : pf.ops) {
+      std::printf("  %s\n", op.ToString().c_str());
+    }
+    ++*printed;
+  }
+  PrintPrefilters(node->input.get(), printed);
+  PrintPrefilters(node->left.get(), printed);
+  PrintPrefilters(node->right.get(), printed);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const char* query = argc > 1 ? argv[1] : R"(
       for $r in collection("/sensors")("root")()("results")()
@@ -44,6 +70,10 @@ int main(int argc, char** argv) {
               compiled->optimized_plan.c_str());
   std::printf("\n=== physical plan ===\n%s",
               compiled->physical.ToString().c_str());
+  std::printf("\n=== scan prefilters ===\n");
+  int prefilters = 0;
+  PrintPrefilters(compiled->physical.root.get(), &prefilters);
+  if (prefilters == 0) std::printf("(none)\n");
 
   auto result = engine.Execute(*compiled);
   if (!result.ok()) {

@@ -511,7 +511,7 @@ Status DecodeCatalogSyncInto(std::string_view payload, Catalog* catalog,
     JPAR_ASSIGN_OR_RETURN(std::string name, r.String());
     JPAR_ASSIGN_OR_RETURN(uint64_t nfiles, r.Varint());
     Collection coll;
-    coll.files.reserve(nfiles);
+    coll.files.reserve(nfiles < 4096 ? nfiles : 4096);  // untrusted count
     for (uint64_t f = 0; f < nfiles; ++f) {
       JPAR_ASSIGN_OR_RETURN(JsonFile file, DecodeFile(&r));
       coll.files.push_back(std::move(file));

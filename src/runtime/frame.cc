@@ -68,7 +68,10 @@ Result<bool> FrameReader::Next(Tuple* tuple) {
       if (!done) return Status::Internal("corrupt frame: truncated arity");
       ItemReader body(rest.substr(p));
       tuple->clear();
-      tuple->reserve(arity);
+      // `arity` is untrusted: reserve at most the binary_serde cap; a
+      // corrupt count then fails on the first missing item instead of
+      // asking for an impossible allocation.
+      tuple->reserve(arity < 4096 ? arity : 4096);
       for (uint64_t i = 0; i < arity; ++i) {
         JPAR_ASSIGN_OR_RETURN(Item item, body.Read());
         tuple->push_back(std::move(item));

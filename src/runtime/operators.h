@@ -163,6 +163,24 @@ enum class AccessHint : uint8_t {
   kCold = 3,      // bypass the warm tier for this scan
 };
 
+/// Scan prefilter (DESIGN.md §9, "Scan prefilter"): the leading run of
+/// ASSIGN/SELECT ops directly above a DATASCAN, up to and including its
+/// last SELECT, rewritten so it reads the scanned record only through
+/// top-level field probes. The physical translator builds it when every
+/// expression of the run touches the scan column solely as
+/// value($col0, "<constant>") and otherwise uses constants, columns the
+/// run assigned and pure builtins. The pipeline keeps its own ops; the
+/// prefilter only lets the scan skip materializing records those ops
+/// would drop.
+struct ScanPrefilter {
+  /// Probe keys, distinct: probe-tuple column i holds value($col0, keys[i]).
+  std::vector<std::string> keys;
+  /// The run over the probe tuple [field_0 .. field_{k-1}, assigned...]:
+  /// the pipeline's column c >= 1 (the run's c-th ASSIGN) is column
+  /// k + c - 1 here.
+  std::vector<UnaryOpDesc> ops;
+};
+
 /// The source of a pipeline.
 struct ScanDesc {
   enum class Kind : uint8_t {
@@ -203,6 +221,10 @@ struct ScanDesc {
   AccessHint access_hint = AccessHint::kAny;
   size_t morsel_bytes_hint = 0;
   double est_rows = -1;
+
+  /// Field-probe prefilter for text scans (null = none). Like the zone
+  /// predicate it is an accelerator only, and is left out of ToString.
+  std::shared_ptr<const ScanPrefilter> prefilter;
 
   std::string ToString() const;
 };

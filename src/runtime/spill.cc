@@ -77,7 +77,7 @@ Status DecodeTupleFrom(ItemReader* reader, Tuple* out) {
   }
   size_t n = static_cast<size_t>(count.int64_value());
   out->clear();
-  out->reserve(n);
+  out->reserve(n < 4096 ? n : 4096);  // untrusted count: capped reserve
   for (size_t i = 0; i < n; ++i) {
     JPAR_ASSIGN_OR_RETURN(Item item, reader->Read());
     out->push_back(std::move(item));

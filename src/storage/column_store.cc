@@ -167,7 +167,10 @@ bool ParseColumnPayload(std::string_view data, ColumnData* out) {
         !GetU32(data, &pos, &null_words)) {
       return false;
     }
-    if (null_words > (uint64_t{b.rows} + 63) / 64) return false;
+    if (null_words > (uint64_t{b.rows} + 63) / 64 ||
+        uint64_t{null_words} * 8 > data.size() - pos) {
+      return false;  // checked before sizing: a short sidecar is a miss
+    }
     b.null_bitmap.resize(null_words);
     for (uint32_t w = 0; w < null_words; ++w) {
       if (!GetU64(data, &pos, &b.null_bitmap[w])) return false;

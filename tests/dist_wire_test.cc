@@ -415,6 +415,19 @@ TEST(ProtocolTest, CatalogSyncRoundTrip) {
   EXPECT_GT(a->items[0].int64_value(), 0);
 }
 
+TEST(ProtocolTest, CatalogSyncHugeFileCountIsAStatusNotAnAbort) {
+  // One collection claiming 2^60 files and carrying none.
+  std::string payload;
+  PutVarint(1, &payload);  // catalog version
+  PutVarint(1, &payload);  // collections
+  PutBytes("/sensors", &payload);
+  PutVarint(uint64_t{1} << 60, &payload);
+  Engine replica;
+  uint64_t version = 0;
+  EXPECT_FALSE(
+      DecodeCatalogSyncInto(payload, replica.catalog(), &version).ok());
+}
+
 // ---------------------------------------------------------------------
 // Framing over a real socketpair
 

@@ -653,6 +653,17 @@ TEST(ValidateExecOptionsTest, RejectsBadSpillKnobs) {
   EXPECT_TRUE(ValidateExecOptions(o).ok()) << ValidateExecOptions(o).ToString();
 }
 
+TEST(SpillRecordTest, HugeTupleArityIsAStatusNotAnAbort) {
+  // A spilled tuple whose arity item claims 2^60 columns and holds one.
+  std::string bytes;
+  ItemWriter writer(&bytes);
+  writer.Write(Item::Int64(int64_t{1} << 60));
+  writer.Write(Item::Int64(7));
+  ItemReader reader(bytes);
+  Tuple t;
+  EXPECT_FALSE(DecodeTupleFrom(&reader, &t).ok());
+}
+
 TEST(SpillSweepTest, OrphanSweepRemovesOnlyDeadPidRunFiles) {
   std::string dir = ::testing::TempDir() + "/jpar_sweep_test";
   std::filesystem::remove_all(dir);

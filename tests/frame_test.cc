@@ -106,6 +106,23 @@ TEST(FrameTest, CorruptFrameReportsError) {
   EXPECT_FALSE(reader.Next(&t).ok());
 }
 
+TEST(FrameTest, HugeArityIsAStatusNotAnAbort) {
+  // A one-tuple frame whose arity varint says 2^60 columns: the reader
+  // must fail on the missing items, not try to reserve them.
+  Frame corrupt;
+  uint64_t arity = uint64_t{1} << 60;
+  while (arity >= 0x80) {
+    corrupt.bytes.push_back(static_cast<char>((arity & 0x7F) | 0x80));
+    arity >>= 7;
+  }
+  corrupt.bytes.push_back(static_cast<char>(arity));
+  corrupt.tuple_count = 1;
+  std::vector<Frame> frames = {corrupt};
+  FrameReader reader(frames);
+  Tuple t;
+  EXPECT_FALSE(reader.Next(&t).ok());
+}
+
 // ---------------------------------------------------------------------
 // EncodedTupleSize must equal what AppendTupleTo writes.
 // ---------------------------------------------------------------------

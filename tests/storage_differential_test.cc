@@ -29,6 +29,7 @@
 #include "core/engine.h"
 #include "data/sensor_generator.h"
 #include "stats/collection_stats.h"
+#include "storage/column_store.h"
 #include "storage/storage_tier.h"
 
 namespace jpar {
@@ -604,6 +605,41 @@ TEST(StorageDifferentialTest, ConcurrentWarmQueriesShareTheCache) {
     ExpectSameAnswer(cold, results[t],
                      "concurrent warm thread " + std::to_string(t));
   }
+}
+
+TEST(ColumnPayloadTest, ShortOrCorruptPayloadsAreCleanMisses) {
+  ColumnBuilder builder(/*block_rows=*/4);
+  for (int i = 0; i < 10; ++i) {
+    builder.Add(i % 3 == 0 ? Item::Null() : Item::Int64(i));
+  }
+  std::string payload;
+  AppendColumnPayload(builder.Finish(0), &payload);
+  ColumnData column;
+  ASSERT_TRUE(ParseColumnPayload(payload, &column));
+  EXPECT_EQ(column.rows, 10u);
+  for (size_t cut = 0; cut < payload.size(); ++cut) {
+    EXPECT_FALSE(ParseColumnPayload(payload.substr(0, cut), &column)) << cut;
+  }
+
+  // A block header claiming 2^32 - 1 rows and a full-size null bitmap
+  // (2^26 words), followed by no bitmap at all: a miss, decided before
+  // the bitmap is sized.
+  std::string short_sidecar;
+  auto put = [&](uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      short_sidecar.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  put(0xFFFFFFFFu, 8);  // rows
+  put(0, 8);            // skipped records
+  put(1, 4);            // blocks
+  put(0xFFFFFFFFu, 4);  // block rows
+  short_sidecar.push_back(0);  // not prunable
+  put(0, 8);                   // min
+  put(0, 8);                   // max
+  put(uint64_t{1} << 26, 4);   // null-bitmap words
+  EXPECT_FALSE(ParseColumnPayload(short_sidecar, &column));
+  EXPECT_TRUE(column.blocks.empty());
 }
 
 }  // namespace
